@@ -47,10 +47,9 @@ type BuildReport struct {
 	// Elapsed is the wall-clock duration of the whole build.
 	Elapsed time.Duration
 	// Phases is the per-phase breakdown, in execution order. Durations
-	// come from a local clock (so they are populated even under the noobs
-	// build tag) and sum to ≈ Elapsed; the worker-balance statistics come
-	// from the obs layer and are zero under noobs. A phase that failed
-	// (triggering the fallback) still appears, with the time it consumed.
+	// sum to ≈ Elapsed; the worker-balance statistics come from the obs
+	// layer. A phase that failed (triggering the fallback) still appears,
+	// with the time it consumed.
 	Phases []PhaseStat
 }
 

@@ -317,7 +317,7 @@ func TestBuildAndIndexReportPhases(t *testing.T) {
 			continue
 		}
 		if p.Stints <= 0 || p.Busy <= 0 {
-			t.Skipf("no worker stats for %s (noobs build?): %+v", p.Name, p)
+			t.Fatalf("no worker stats for %s: %+v", p.Name, p)
 		}
 		if p.MaxWorkers < 1 || p.MaxWorkers > p.Stints {
 			t.Errorf("%s max workers = %d, want in [1, %d]", p.Name, p.MaxWorkers, p.Stints)

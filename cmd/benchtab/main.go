@@ -22,8 +22,8 @@
 // improved / regressed / within-noise against a MAD-derived noise band,
 // and prints a markdown report. With -gate the process exits 3 when the
 // journals' manifests are comparable and at least one regression is
-// confirmed beyond the band; incomparable journals (different hardware,
-// toolchain, or build flavour) never gate.
+// confirmed beyond the band; incomparable journals (different hardware
+// or toolchain) never gate.
 package main
 
 import (

@@ -86,7 +86,7 @@ func writeJournal(t *testing.T, path string, minNS int64) {
 		Experiment: "phcd",
 		Manifest: bench.Manifest{Schema: bench.SchemaVersion, GoVersion: "go1.24",
 			OS: "linux", Arch: "amd64", NumCPU: 8, GoMaxProcs: 8,
-			Obs: true, FaultInject: true, Scale: 4, Suite: "phcd-full-v1"},
+			Scale: 4, Suite: "phcd-full-v1"},
 		Threads: []int{1},
 		Reps:    3,
 		Cells: []bench.Cell{{Dataset: "d", Kernel: "phcd", Threads: 1,

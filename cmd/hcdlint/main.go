@@ -1,16 +1,12 @@
 // hcdlint runs the repository's static-analysis suite (internal/lint):
-// tag-parity, determinism, panic-safety, site-hygiene, errcheck, and
-// the call-graph-backed ctx-propagation, atomic-discipline,
+// determinism, panic-safety, site-hygiene, errcheck, and the
+// call-graph-backed ctx-propagation, atomic-discipline,
 // goroutine-lifetime and hot-loop-alloc checks.
 //
 // Usage:
 //
 //	go run ./cmd/hcdlint ./...             lint the whole module
 //	go run ./cmd/hcdlint ./internal/core   lint one directory
-//	go run ./cmd/hcdlint -tags noobs ./... lint the noobs file set
-//	go run ./cmd/hcdlint -tagsets default,noobs,nofaults ./...
-//	                                       lint every flavour in one
-//	                                       process (shared package cache)
 //	go run ./cmd/hcdlint -json ./...       machine-readable findings
 //	go run ./cmd/hcdlint -list             print the check catalogue
 //
@@ -37,8 +33,6 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("hcdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tags := fs.String("tags", "", "comma-separated build tags to lint under")
-	tagsets := fs.String("tagsets", "", `comma-separated tag sets to lint in one process ("default" = no tags); findings are deduplicated across sets`)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
 	list := fs.Bool("list", false, "print the check catalogue and exit")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
@@ -50,10 +44,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-18s %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *tags != "" && *tagsets != "" {
-		fmt.Fprintln(stderr, "hcdlint: -tags and -tagsets are mutually exclusive")
-		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -87,96 +77,27 @@ func run(args []string, stdout, stderr *os.File) int {
 		checks = sel
 	}
 
-	// Resolve the flavours to lint: one (-tags, possibly empty) or
-	// several (-tagsets), all sharing one loader family so unchanged
-	// packages type-check once.
-	type flavour struct {
-		name string
-		tags []string
-	}
-	var flavours []flavour
-	switch {
-	case *tagsets != "":
-		seen := map[string]bool{}
-		for _, name := range strings.Split(*tagsets, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" || seen[name] {
-				continue
-			}
-			seen[name] = true
-			fl := flavour{name: name}
-			if name != "default" {
-				fl.tags = strings.Split(name, " ")
-			}
-			flavours = append(flavours, fl)
-		}
-		if len(flavours) == 0 {
-			fmt.Fprintln(stderr, "hcdlint: -tagsets lists no tag sets")
-			return 2
-		}
-	case *tags != "":
-		flavours = []flavour{{name: *tags, tags: strings.Split(*tags, ",")}}
-	default:
-		flavours = []flavour{{name: "default"}}
-	}
-
-	base, err := lint.NewLoader(".", flavours[0].tags)
+	loader, err := lint.NewLoader(".")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	// Findings deduplicate across flavours; each remembers which tag sets
-	// produced it so flavour-specific findings are labelled.
-	var diags []lint.Diagnostic
-	diagSets := map[lint.Diagnostic][]string{}
-	for i, fl := range flavours {
-		loader := base
-		if i > 0 {
-			loader = base.Variant(fl.tags)
-		}
-		pkgs, err := loadPatterns(loader, patterns)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		ctx := &lint.Context{Loader: loader, Pkgs: pkgs}
-		ds, err := lint.Run(ctx, checks)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		// Report module-root-relative paths: stable across machines, and
-		// clickable from the repo root where CI and developers run this.
-		for _, d := range ds {
-			if rel, err := filepath.Rel(loader.Dir, d.File); err == nil && !strings.HasPrefix(rel, "..") {
-				d.File = filepath.ToSlash(rel)
-			}
-			if _, dup := diagSets[d]; !dup {
-				diags = append(diags, d)
-			}
-			diagSets[d] = append(diagSets[d], fl.name)
-		}
+	pkgs, err := loadPatterns(loader, patterns)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	if len(flavours) > 1 {
-		for i := range diags {
-			if sets := diagSets[diags[i]]; len(sets) < len(flavours) {
-				diags[i].Message += " (tag sets: " + strings.Join(sets, ", ") + ")"
-			}
+	diags, err := lint.Run(&lint.Context{Loader: loader, Pkgs: pkgs}, checks)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	// Report module-root-relative paths: stable across machines, and
+	// clickable from the repo root where CI and developers run this.
+	for i := range diags {
+		if rel, err := filepath.Rel(loader.Dir, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].File = filepath.ToSlash(rel)
 		}
-		sort.Slice(diags, func(i, j int) bool {
-			a, b := diags[i], diags[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			if a.Col != b.Col {
-				return a.Col < b.Col
-			}
-			return a.Check < b.Check
-		})
 	}
 
 	if *jsonOut {

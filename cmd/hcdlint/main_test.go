@@ -38,11 +38,15 @@ func TestListPrintsCatalogue(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, check := range []string{"tag-parity", "determinism", "panic-safety", "site-hygiene", "errcheck",
-		"ctx-propagation", "atomic-discipline", "goroutine-lifetime", "hot-loop-alloc"} {
+	catalogue := []string{"determinism", "panic-safety", "site-hygiene", "errcheck",
+		"ctx-propagation", "atomic-discipline", "goroutine-lifetime", "hot-loop-alloc"}
+	for _, check := range catalogue {
 		if !strings.Contains(out, check) {
 			t.Errorf("-list output missing %q:\n%s", check, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != len(catalogue) {
+		t.Errorf("-list printed %d checks, want %d:\n%s", n, len(catalogue), out)
 	}
 }
 
@@ -118,27 +122,6 @@ func TestChecksSubset(t *testing.T) {
 	if code, _, errOut := runLint(t, "-checks", "bogus,errcheck,alsobogus", "."); code != 2 ||
 		!strings.Contains(errOut, `"bogus"`) || !strings.Contains(errOut, `"alsobogus"`) {
 		t.Errorf("multiple unknown checks: exit %d, stderr %q; want exit 2 naming both", code, errOut)
-	}
-}
-
-// TestTagsetsFlag pins the multi-flavour mode: one process, findings
-// deduplicated across tag sets, -tags rejected alongside it.
-func TestTagsetsFlag(t *testing.T) {
-	code, out, errOut := runLint(t, "-tagsets", "default,noobs", filepath.Join(fixtureRoot, "errcheck"))
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	// The fixture is tag-free: identical findings under both sets must
-	// appear once, with no tag-set annotation.
-	if n := strings.Count(out, "[errcheck]"); n != strings.Count(out, "\n") {
-		t.Errorf("duplicate or missing findings across tag sets:\n%s", out)
-	}
-	if strings.Contains(out, "tag sets:") {
-		t.Errorf("findings common to every tag set must not be annotated:\n%s", out)
-	}
-	if code, _, errOut := runLint(t, "-tags", "noobs", "-tagsets", "default", "."); code != 2 ||
-		!strings.Contains(errOut, "mutually exclusive") {
-		t.Errorf("-tags with -tagsets: exit %d, stderr %q; want exit 2", code, errOut)
 	}
 }
 

@@ -91,19 +91,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *faults != "" {
 		if err := faultinject.Enable(*faults); err != nil {
-			if faultinject.Compiled() {
-				fmt.Fprintf(stderr, "hcdserve: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "hcdserve: warning: %v\n", err)
-		}
-		defer faultinject.Disable()
-	} else if err := faultinject.EnableFromEnv(); err != nil {
-		if faultinject.Compiled() {
 			fmt.Fprintf(stderr, "hcdserve: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "hcdserve: warning: %v\n", err)
+		defer faultinject.Disable()
+	} else if err := faultinject.EnableFromEnv(); err != nil {
+		fmt.Fprintf(stderr, "hcdserve: %v\n", err)
+		return 2
 	}
 
 	cfg := serve.Config{
@@ -136,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *memSample >= 0 {
 		// Heap-live watermarks, goroutine peaks, and GC pause quantiles
-		// for the /metrics hcd_mem_* family; a no-op under noobs.
+		// for the /metrics hcd_mem_* family.
 		stopSampler := obs.StartMemSampler(*memSample)
 		defer stopSampler()
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"hcd/internal/faultinject"
 	"hcd/internal/gen"
 )
 
@@ -127,16 +126,23 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-in", path, "-format", "xml"},
 		{"-in", path, "-kernel", "warp-drive"},
 		{"-in", path, "positional"},
-	}
-	if faultinject.Compiled() {
-		// Under nofaults a bad spec only warns (the injector is compiled
-		// out), so the server would start instead of exiting.
-		cases = append(cases, []string{"-in", path, "-faults", "not-a-spec"})
+		{"-in", path, "-faults", "not-a-spec"},
 	}
 	for _, args := range cases {
 		var out, errb syncBuffer
 		if code := run(context.Background(), args, &out, &errb); code != 2 {
 			t.Errorf("args %v: exit %d, want 2 (stderr: %s)", args, code, errb.String())
 		}
+	}
+
+	// A bad spec in HCD_FAULTS is the same mistake. The context is
+	// already cancelled, so a server that wrongly starts drains at once
+	// instead of hanging the test.
+	t.Setenv("HCD_FAULTS", "not-a-spec")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errb syncBuffer
+	if code := run(ctx, []string{"-in", path, "-addr", "127.0.0.1:0"}, &out, &errb); code != 2 {
+		t.Errorf("HCD_FAULTS=not-a-spec: exit %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }

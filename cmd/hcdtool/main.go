@@ -32,8 +32,7 @@
 // Observability: -trace writes a Chrome trace-event JSON of the run
 // (load it in chrome://tracing or Perfetto), and -debug-addr serves
 // /metrics (Prometheus text), /trace, /debug/vars (expvar) and
-// /debug/pprof/ while the command runs. Both are no-ops under the noobs
-// build tag apart from valid empty output.
+// /debug/pprof/ while the command runs.
 package main
 
 import (
@@ -137,7 +136,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// The memory sampler runs for the whole command: the deferred final
 	// sample records the run's heap/goroutine peaks, so even a short
 	// build leaves its hcd_mem_* watermarks in the expvar/metrics
-	// exposition (and in the -debug-addr scrape). No-op under noobs.
+	// exposition (and in the -debug-addr scrape).
 	stopMemSampler := obs.StartMemSampler(0)
 	defer stopMemSampler()
 	if *debugAddr != "" {

@@ -331,7 +331,7 @@ func TestRunTraceExport(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, raw)
 	}
 	if len(tr.TraceEvents) == 0 {
-		t.Skip("empty trace (noobs build)")
+		t.Fatalf("trace has no events:\n%s", raw)
 	}
 	var build *struct{ ts, dur float64 }
 	seen := map[string]bool{}

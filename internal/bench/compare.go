@@ -157,15 +157,15 @@ func (c Comparison) Count(class DeltaClass) int {
 
 // HasRegressions reports whether the comparison confirms at least one
 // regression. Always false for incomparable manifests: a mismatch in
-// hardware or build flavour explains any movement, so no delta can be
+// hardware or toolchain explains any movement, so no delta can be
 // blamed on the code.
 func (c Comparison) HasRegressions() bool {
 	return c.Comparable && c.Count(DeltaRegressed) > 0
 }
 
 // Markdown renders the comparison as a report. It leads with the
-// manifest-diff summary — git SHA, build flavour, CPU, toolchain and
-// suite, side by side with mismatches flagged — and the gate status, so
+// manifest-diff summary — git SHA, CPU, toolchain and suite, side by
+// side with mismatches flagged — and the gate status, so
 // a report that does not gate says up front *why* (which runner
 // dimension broke comparability) before any delta numbers appear.
 func (c Comparison) Markdown() string {
@@ -183,7 +183,6 @@ func (c Comparison) Markdown() string {
 	o, n := c.OldManifest, c.NewManifest
 	fmt.Fprintf(&b, "| | old | new |\n|---|---|---|\n")
 	row("git", short(o.GitSHA), short(n.GitSHA), false)
-	row("flavour", o.Flavour(), n.Flavour(), true)
 	row("cpu", fmt.Sprintf("%dx %s (GOMAXPROCS %d)", o.NumCPU, orUnknown(o.CPUModel), o.GoMaxProcs),
 		fmt.Sprintf("%dx %s (GOMAXPROCS %d)", n.NumCPU, orUnknown(n.CPUModel), n.GoMaxProcs), true)
 	row("toolchain", o.GoVersion+" "+o.OS+"/"+o.Arch, n.GoVersion+" "+n.OS+"/"+n.Arch, true)

@@ -9,7 +9,7 @@ import (
 // and the given cells.
 func cmpReports(oldCells, newCells []Cell) (Report, Report) {
 	m := Manifest{Schema: SchemaVersion, GoVersion: "go1.24", OS: "linux", Arch: "amd64",
-		NumCPU: 8, GoMaxProcs: 8, Obs: true, FaultInject: true, Scale: 4, Suite: "phcd-full-v1"}
+		NumCPU: 8, GoMaxProcs: 8, Scale: 4, Suite: "phcd-full-v1"}
 	return Report{Experiment: "phcd", Manifest: m, Cells: oldCells},
 		Report{Experiment: "phcd", Manifest: m, Cells: newCells}
 }
@@ -100,7 +100,7 @@ func TestCompareIncomparableManifestsNeverGate(t *testing.T) {
 func TestCompareMarkdownManifestDiffLeads(t *testing.T) {
 	old, new := cmpReports([]Cell{tightCell("k", 1, 1_000_000)}, []Cell{tightCell("k", 1, 1_000_000)})
 	md := Compare(old, new).Markdown()
-	for _, want := range []string{"| | old | new |", "| flavour |", "| toolchain |", "Gate: active"} {
+	for _, want := range []string{"| | old | new |", "| toolchain |", "Gate: active"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing manifest-diff element %q:\n%s", want, md)
 		}

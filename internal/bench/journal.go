@@ -64,7 +64,7 @@ type PhaseScaling struct {
 	Share float64 `json:"share"`
 	// AllocBytes is the phase's heap allocation at p=1 (from the
 	// instrumented cells' memory accounting); AllocShare is its fraction
-	// of the p=1 total across phases. Both zero under the noobs build.
+	// of the p=1 total across phases.
 	AllocBytes int64   `json:"alloc_bytes,omitempty"`
 	AllocShare float64 `json:"alloc_share,omitempty"`
 }
@@ -98,7 +98,7 @@ type ScalingRow struct {
 	Bottleneck string `json:"bottleneck,omitempty"`
 	// Hungriest names the most allocation-hungry phase — the largest
 	// AllocBytes at p=1 — the way Bottleneck names the phase that bounds
-	// scaling. Empty when the cells carry no memory accounting (noobs).
+	// scaling. Empty when the cells carry no memory accounting.
 	Hungriest string `json:"hungriest,omitempty"`
 }
 
@@ -186,13 +186,8 @@ const (
 // heap objects allocated per operation; per is the operation count one
 // f call performs, 1 for whole-pipeline cells). MinNS/MedianNS/MADNS
 // summarise the samples exactly as for timing cells, so the compare
-// gate's MAD noise band applies unchanged. Nil under the noobs build:
-// the flavour bit already makes such journals incomparable, and the
-// readers are stubs there.
+// gate's MAD noise band applies unchanged.
 func measureMemCells(dataset, kernel string, threads, reps, per int, f func()) []Cell {
-	if !obs.Enabled() {
-		return nil
-	}
 	sp := obs.StartSpanArg("bench.memcell", int64(threads))
 	defer sp.End()
 	if reps < 1 {
@@ -374,7 +369,7 @@ func (r Report) buildScaling(dataset, kernel, baseline string) ScalingRow {
 // is largest among phases carrying at least 5% of the p=1 time (tiny
 // phases can be perfectly serial without ever bounding anything) — and
 // the hungriest, the phase allocating the most heap bytes at p=1
-// (empty when the cells carry no memory accounting, i.e. under noobs).
+// (empty when the cells carry no memory accounting).
 func (r Report) buildPhaseScaling(dataset, kernel string) ([]PhaseScaling, string, string) {
 	c1 := r.cell(dataset, kernel, 1)
 	if c1 == nil || len(c1.Phases) == 0 {

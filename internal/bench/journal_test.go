@@ -104,9 +104,6 @@ func TestBuildScalingDerivesCurves(t *testing.T) {
 // kernel (peak bytes, allocs per op), units attached, allocations
 // divided by the per-op count.
 func TestMeasureMemCells(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("memory cells are compiled out under noobs")
-	}
 	var sink [][]byte
 	cells := measureMemCells("d", "k", 2, 3, 4, func() {
 		sink = append(sink, make([]byte, 1<<20))
@@ -180,7 +177,7 @@ func TestJournalSchemaGolden(t *testing.T) {
 		Manifest: Manifest{
 			Schema: SchemaVersion, GitSHA: "0123456789abcdef", GoVersion: "go1.24",
 			OS: "linux", Arch: "amd64", CPUModel: "Example CPU", NumCPU: 8, GoMaxProcs: 8,
-			Obs: true, FaultInject: true, Scale: 4, Suite: "phcd-full-v1",
+			Scale: 4, Suite: "phcd-full-v1",
 			CreatedAt: "2026-01-02T03:04:05Z",
 		},
 		Threads: []int{1, 2},

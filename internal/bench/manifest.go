@@ -7,9 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"hcd/internal/faultinject"
-	"hcd/internal/obs"
 )
 
 // SchemaVersion is the experiment-journal JSON schema generation. It is
@@ -41,11 +38,6 @@ type Manifest struct {
 	// NumCPU and GoMaxProcs pin the parallel envelope the run had.
 	NumCPU     int `json:"num_cpu"`
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Obs and FaultInject record the build flavour: whether the
-	// observability layer and the fault injector were compiled in (the
-	// noobs / nofaults tags compile them out, which moves hot-path cost).
-	Obs         bool `json:"obs"`
-	FaultInject bool `json:"faultinject"`
 	// Scale and Suite identify the synthetic inputs: the dataset scale
 	// multiplier and a fingerprint of the generator-parameter set (bumped
 	// whenever an experiment's generators change, so stale baselines
@@ -61,19 +53,17 @@ type Manifest struct {
 // scale and generator-suite fingerprint.
 func NewManifest(scale int, suite string) Manifest {
 	return Manifest{
-		Schema:      SchemaVersion,
-		GitSHA:      gitSHA(),
-		GoVersion:   runtime.Version(),
-		OS:          runtime.GOOS,
-		Arch:        runtime.GOARCH,
-		CPUModel:    cpuModel(),
-		NumCPU:      runtime.NumCPU(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Obs:         obs.Enabled(),
-		FaultInject: faultinject.Compiled(),
-		Scale:       scale,
-		Suite:       suite,
-		CreatedAt:   time.Now().UTC().Format(time.RFC3339),
+		Schema:     SchemaVersion,
+		GitSHA:     gitSHA(),
+		GoVersion:  runtime.Version(),
+		OS:         runtime.GOOS,
+		Arch:       runtime.GOARCH,
+		CPUModel:   cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Scale:      scale,
+		Suite:      suite,
+		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 	}
 }
 
@@ -105,29 +95,7 @@ func (m Manifest) ComparableTo(o Manifest) []string {
 	if m.GoMaxProcs != o.GoMaxProcs {
 		reasons = append(reasons, fmt.Sprintf("GOMAXPROCS differs (%d vs %d)", m.GoMaxProcs, o.GoMaxProcs))
 	}
-	if m.Obs != o.Obs {
-		reasons = append(reasons, fmt.Sprintf("obs build flavour differs (%v vs %v)", m.Obs, o.Obs))
-	}
-	if m.FaultInject != o.FaultInject {
-		reasons = append(reasons, fmt.Sprintf("faultinject build flavour differs (%v vs %v)", m.FaultInject, o.FaultInject))
-	}
 	return reasons
-}
-
-// Flavour names the build flavour the run was recorded under: "default
-// build", or the compiled-out tags ("noobs", "nofaults", or both).
-func (m Manifest) Flavour() string {
-	flavour := []string{}
-	if !m.Obs {
-		flavour = append(flavour, "noobs")
-	}
-	if !m.FaultInject {
-		flavour = append(flavour, "nofaults")
-	}
-	if len(flavour) == 0 {
-		return "default build"
-	}
-	return strings.Join(flavour, ",")
 }
 
 // Describe renders the manifest as one compact human-readable line for
@@ -140,13 +108,12 @@ func (m Manifest) Describe() string {
 	if sha == "" {
 		sha = "unknown"
 	}
-	fl := m.Flavour()
 	cpu := m.CPUModel
 	if cpu == "" {
 		cpu = "unknown cpu"
 	}
-	return fmt.Sprintf("git %s · %s %s/%s · %dx %s (GOMAXPROCS %d) · %s · suite %s scale %d",
-		sha, m.GoVersion, m.OS, m.Arch, m.NumCPU, cpu, m.GoMaxProcs, fl, m.Suite, m.Scale)
+	return fmt.Sprintf("git %s · %s %s/%s · %dx %s (GOMAXPROCS %d) · suite %s scale %d",
+		sha, m.GoVersion, m.OS, m.Arch, m.NumCPU, cpu, m.GoMaxProcs, m.Suite, m.Scale)
 }
 
 // gitSHA resolves the checked-out commit, best-effort.

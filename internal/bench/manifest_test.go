@@ -46,8 +46,6 @@ func TestManifestComparability(t *testing.T) {
 		{"cpu model", func(m *Manifest) { m.CPUModel = m.CPUModel + "x" }},
 		{"cpu count", func(m *Manifest) { m.NumCPU++ }},
 		{"GOMAXPROCS", func(m *Manifest) { m.GoMaxProcs++ }},
-		{"obs build flavour", func(m *Manifest) { m.Obs = !m.Obs }},
-		{"faultinject build flavour", func(m *Manifest) { m.FaultInject = !m.FaultInject }},
 	} {
 		c := a
 		tc.mutate(&c)

@@ -140,7 +140,7 @@ var peelFanoutGrain = int64(4096)
 // to the journal: how many rounds a kernel ran and how large its
 // frontiers were explains *why* it wins or loses on a dataset shape
 // (many tiny levels favour buffered's adaptive fan-out; heavy worklist
-// churn penalises hindex). Compiled out under the noobs tag.
+// churn penalises hindex).
 type peelStats struct {
 	rounds   *obs.Counter
 	frontier *obs.Histogram

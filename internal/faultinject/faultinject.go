@@ -1,5 +1,3 @@
-//go:build !nofaults
-
 // Package faultinject provides deterministic, site-keyed fault injection
 // for exercising the failure-containment paths of the parallel runtime.
 //
@@ -28,8 +26,8 @@
 // is not.)
 //
 // When the injector is disarmed — the default — Maybe costs one atomic
-// load. Building with the `nofaults` tag (see off.go) replaces the whole
-// package with empty stubs, compiling injection out entirely.
+// load (a few ns; see EXPERIMENTS.md), and trigger points sit at chunk
+// or phase granularity, never in per-vertex or per-edge loops.
 package faultinject
 
 import (
@@ -120,10 +118,6 @@ func Disable() {
 
 // Enabled reports whether any rules are armed.
 func Enabled() bool { return armed.Load() }
-
-// Compiled reports whether fault injection is compiled in (false under
-// the nofaults build tag) — the build-flavour bit run manifests record.
-func Compiled() bool { return true }
 
 // EnableFromEnv arms the injector from the HCD_FAULTS environment
 // variable, if set. Intended for command-line tools; returns the parse

@@ -1,5 +1,3 @@
-//go:build !nofaults
-
 package faultinject
 
 import (

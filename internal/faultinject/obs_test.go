@@ -1,5 +1,3 @@
-//go:build !nofaults && !noobs
-
 package faultinject
 
 import (

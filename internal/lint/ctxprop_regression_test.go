@@ -39,7 +39,7 @@ func TestCtxPropagationCatchesRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loader, err := NewLoader(tmp, nil)
+	loader, err := NewLoader(tmp)
 	if err != nil {
 		t.Fatalf("NewLoader on seeded copy: %v", err)
 	}

@@ -1,14 +1,12 @@
 // Package lint is hcdlint: a from-scratch static-analysis suite that
-// machine-enforces the repository's determinism, panic-safety and
-// build-tag invariants — the properties the paper's "parallel equals
-// serial" correctness story (Theorems 1-3) rests on. Built entirely on
+// machine-enforces the repository's determinism and panic-safety
+// invariants — the properties the paper's "parallel equals serial"
+// correctness story (Theorems 1-3) rests on. Built entirely on
 // the standard library's go/parser + go/ast + go/types + go/importer;
 // no golang.org/x/tools.
 //
 // The check catalogue (see DESIGN.md "Static analysis & invariants"):
 //
-//	tag-parity    the noobs/nofaults noop mirrors expose byte-identical
-//	              exported API surfaces to the live builds
 //	determinism   kernel packages stay free of wall-clock reads, global
 //	              math/rand, and map-iteration writes into ordered output
 //	panic-safety  the re-panicking par.For/ForEach/ForChunked/Run
@@ -78,13 +76,13 @@ type Check struct {
 	Doc string
 	// Run inspects ctx's packages and reports findings. Module-level:
 	// a check sees every in-scope package at once, so cross-package
-	// properties (duplicate site names, API parity) are one pass.
+	// properties (duplicate site names) are one pass.
 	Run func(ctx *Context) ([]Diagnostic, error)
 }
 
 // Context is what a check gets to work with.
 type Context struct {
-	// Loader built Pkgs and can build tag variants for parity checks.
+	// Loader built Pkgs.
 	Loader *Loader
 	// Pkgs are the in-scope packages, in import-path order.
 	Pkgs []*Package
@@ -128,10 +126,9 @@ func (c *Context) diag(check string, pos token.Pos, format string, args ...any) 
 }
 
 // AllChecks returns the full catalogue, in documentation order: the
-// five per-function checks, then the four call-graph-backed ones.
+// four per-function checks, then the four call-graph-backed ones.
 func AllChecks() []*Check {
 	return []*Check{
-		tagParityCheck(),
 		determinismCheck(),
 		panicSafetyCheck(),
 		siteHygieneCheck(),

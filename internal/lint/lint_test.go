@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // sharedLoader amortises the one-off `go list -export` call across tests.
 var sharedLoader = sync.OnceValues(func() (*Loader, error) {
-	return NewLoader(".", nil)
+	return NewLoader(".")
 })
 
 func newTestLoader(t *testing.T) *Loader {

@@ -3,12 +3,11 @@
 // golang.org/x/tools dependency).
 //
 // Module-internal imports ("hcd/...") are resolved recursively from the
-// source tree, honouring build constraints through go/build, so the same
-// loader can materialise different build-tag variants of one package
-// (the lever the tag-parity check pulls). Standard-library imports are
-// resolved through compiled export data located with one `go list
-// -export -deps` invocation per loader family; the gc importer consumes
-// the export files directly, so stdlib sources are never re-type-checked.
+// source tree, honouring build constraints through go/build.
+// Standard-library imports are resolved through compiled export data
+// located with one `go list -export -deps` invocation per loader; the gc
+// importer consumes the export files directly, so stdlib sources are
+// never re-type-checked.
 package lint
 
 import (
@@ -43,63 +42,26 @@ type Package struct {
 	Info *types.Info
 }
 
-// Loader loads packages of one module under one build-tag set. Loaders
-// for other tag sets of the same module share a family: one FileSet,
-// one stdlib importer, and a cross-tag-set package cache, so linting
-// three tag flavours re-checks only the tag-sensitive packages (and
-// their dependents) instead of re-loading the module from scratch per
-// flavour.
+// Loader loads packages of one module. Not safe for concurrent use
+// (checks run sequentially).
 type Loader struct {
 	// Dir is the module root (the directory holding go.mod).
 	Dir string
 	// Module is the module path from go.mod.
 	Module string
-	// Tags are the build tags this loader applies.
-	Tags []string
-	// Fset positions every file any loader of the family parsed.
+	// Fset positions every file the loader parsed.
 	Fset *token.FileSet
 
-	fam     *family
+	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool // import-cycle guard
 }
 
-// family is the state shared by a loader and its tag-set Variants.
-// Sharing the FileSet and the stdlib importer is what makes cached
-// packages interchangeable across variants: positions stay resolvable
-// and stdlib types keep pointer identity. Not safe for concurrent use,
-// like the loaders themselves (checks run sequentially).
-type family struct {
-	exports map[string]string // stdlib import path -> export data file
-	fset    *token.FileSet
-	std     types.Importer
-	// cache maps an import path to its most recently checked build. A
-	// variant reuses the entry when its tag set selects the same file
-	// list AND every module-internal dependency resolved to the same
-	// *Package — so tag-sensitive packages and everything above them
-	// re-check, everything else is shared.
-	cache        map[string]*cacheEntry
-	hits, misses int
-}
-
-// cacheEntry records what a cached package was built from.
-type cacheEntry struct {
-	files []string   // sorted file names the tag set selected
-	deps  []*Package // module-internal deps, in bp.Imports order
-	pkg   *Package
-}
-
-// CacheStats reports cross-tag-set package cache hits and misses for
-// this loader's family (misses include every first load).
-func (l *Loader) CacheStats() (hits, misses int) {
-	return l.fam.hits, l.fam.misses
-}
-
-// NewLoader creates a loader rooted at the module containing dir,
-// applying the given build tags. It runs `go list -export -deps` once to
-// locate stdlib export data; the go toolchain must be on PATH (hcdlint
-// itself is run with `go run`, so it always is).
-func NewLoader(dir string, tags []string) (*Loader, error) {
+// NewLoader creates a loader rooted at the module containing dir. It
+// runs `go list -export -deps` once to locate stdlib export data; the go
+// toolchain must be on PATH (hcdlint itself is run with `go run`, so it
+// always is).
+func NewLoader(dir string) (*Loader, error) {
 	root, module, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -108,13 +70,9 @@ func NewLoader(dir string, tags []string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam := &family{
-		exports: exports,
-		fset:    token.NewFileSet(),
-		cache:   map[string]*cacheEntry{},
-	}
-	fam.std = importer.ForCompiler(fam.fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := fam.exports[path]
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
 		if !ok {
 			// A stdlib package outside the module's dependency closure
 			// (possible for testdata fixtures): locate it on demand.
@@ -122,31 +80,19 @@ func NewLoader(dir string, tags []string) (*Loader, error) {
 			if err != nil {
 				return nil, err
 			}
-			fam.exports[path] = ef
+			exports[path] = ef
 			f = ef
 		}
 		return os.Open(f)
 	})
-	return newLoader(root, module, tags, fam), nil
-}
-
-// Variant returns a fresh loader for the same module under a different
-// tag set, sharing the family (stdlib export data, FileSet, and the
-// cross-tag-set package cache).
-func (l *Loader) Variant(tags []string) *Loader {
-	return newLoader(l.Dir, l.Module, tags, l.fam)
-}
-
-func newLoader(root, module string, tags []string, fam *family) *Loader {
 	return &Loader{
 		Dir:     root,
 		Module:  module,
-		Tags:    tags,
-		Fset:    fam.fset,
-		fam:     fam,
+		Fset:    fset,
+		std:     std,
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
-	}
+	}, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the
@@ -233,7 +179,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return l.fam.std.Import(path)
+	return l.std.Import(path)
 }
 
 // pkgDir maps a module-internal import path to its directory.
@@ -277,35 +223,10 @@ func (l *Loader) load(path string) (*Package, error) {
 	defer delete(l.loading, path)
 
 	dir := l.pkgDir(path)
-	bctx := build.Default
-	bctx.BuildTags = append([]string(nil), l.Tags...)
-	bp, err := bctx.ImportDir(dir, 0)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %v", dir, err)
 	}
-	sort.Strings(bp.GoFiles)
-
-	// Load module-internal dependencies first (bp.Imports is sorted and
-	// deduplicated), so the family-cache key — file list plus dependency
-	// identity — is known before deciding whether to re-check.
-	var deps []*Package
-	for _, imp := range bp.Imports {
-		if imp != l.Module && !strings.HasPrefix(imp, l.Module+"/") {
-			continue
-		}
-		dp, err := l.load(imp)
-		if err != nil {
-			return nil, err
-		}
-		deps = append(deps, dp)
-	}
-	if e := l.fam.cache[path]; e != nil && sameFiles(e.files, bp.GoFiles) && sameDeps(e.deps, deps) {
-		l.fam.hits++
-		l.pkgs[path] = e.pkg
-		return e.pkg, nil
-	}
-	l.fam.misses++
-
 	files := make([]*ast.File, 0, len(bp.GoFiles))
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -327,32 +248,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	p := &Package{Path: path, Dir: dir, Files: files, Types: tp, Info: info}
 	l.pkgs[path] = p
-	l.fam.cache[path] = &cacheEntry{files: bp.GoFiles, deps: deps, pkg: p}
 	return p, nil
-}
-
-func sameFiles(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameDeps(a, b []*Package) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ModulePackages enumerates and loads every buildable package under the
@@ -380,9 +276,7 @@ func (l *Loader) ModulePackages() ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		bctx := build.Default
-		bctx.BuildTags = append([]string(nil), l.Tags...)
-		bp, err := bctx.ImportDir(dir, 0)
+		bp, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
 			if _, ok := err.(*build.NoGoError); ok {
 				continue

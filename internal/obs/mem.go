@@ -1,8 +1,6 @@
-// Memory observability: the shared data types of the phase-scoped
-// allocation accounting. The types live in this untagged file so the
-// live and noobs builds agree on them exactly; the readers that fill
-// them (ReadMem, HeapLiveBytes, the sampler) are tag-mirrored in
-// memread.go / memread_noobs.go.
+// Memory observability: the data types of the phase-scoped allocation
+// accounting. The readers that fill them (ReadMem, HeapLiveBytes, the
+// sampler) are in memread.go.
 package obs
 
 import "time"
@@ -11,8 +9,8 @@ import "time"
 // when given a non-positive interval: frequent enough to catch the heap
 // high-water mark of any phase that runs longer than a blink, rare
 // enough that the per-sample runtime/metrics read and ReadMemStats call
-// stay far below measurement noise (see the obs-vs-noobs A/B in
-// EXPERIMENTS.md).
+// stay far below measurement noise (see the sampler A/B under "Memory
+// columns" in EXPERIMENTS.md).
 const DefaultMemSampleInterval = 100 * time.Millisecond
 
 // MemPoint is a point-in-time reading of the Go allocator's cumulative
@@ -36,9 +34,8 @@ type MemPoint struct {
 
 // MemDelta is the allocator movement between two MemPoints: what one
 // phase (or one measured operation) cost in allocation volume and GC
-// activity. The zero delta means "nothing measured" — exactly what the
-// noobs build reports — and marshals to nothing via the omitempty
-// fields it feeds.
+// activity. The zero delta means "nothing measured" and marshals to
+// nothing via the omitempty fields it feeds.
 type MemDelta struct {
 	// AllocBytes / AllocObjects are the heap bytes and objects allocated
 	// in the interval.

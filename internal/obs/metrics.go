@@ -1,5 +1,3 @@
-//go:build !noobs
-
 package obs
 
 import (
@@ -146,11 +144,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum.Add(other.sum.Load())
 	h.n.Add(other.n.Load())
 }
-
-// Enabled reports whether observability is compiled in (false under the
-// noobs build tag) — the build-flavour bit run manifests record so two
-// benchmark reports are comparable or provably not.
-func Enabled() bool { return true }
 
 // registry holds every registered metric by full name. Registration
 // takes a lock; hot-path updates never touch it.

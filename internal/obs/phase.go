@@ -8,10 +8,7 @@
 // Everything is stdlib-only and built for hot paths: recording a metric
 // is one atomic add, opening a span is two time.Now calls and one short
 // mutex hold at End, and the par worker hooks cost a single atomic
-// pointer load when no phase is armed. Building with the `noobs` tag
-// (see noop.go) replaces the whole package with empty stubs, mirroring
-// internal/faultinject's `nofaults` pattern, so a production binary can
-// compile observability out entirely.
+// pointer load when no phase is armed.
 //
 // Span taxonomy (all on one trace track; nesting is by time containment):
 //
@@ -101,8 +98,7 @@ type PhaseStat struct {
 	// Duration is the phase's wall-clock time.
 	Duration time.Duration `json:"duration_ns"`
 	// Stints, MaxWorkers, Chunks, Busy and MaxBusy mirror WorkerStats;
-	// zero when the phase ran no parallel primitives (or under the noobs
-	// tag).
+	// zero when the phase ran no parallel primitives.
 	Stints     int64         `json:"stints,omitempty"`
 	MaxWorkers int64         `json:"max_workers,omitempty"`
 	Chunks     int64         `json:"chunks,omitempty"`
@@ -112,8 +108,7 @@ type PhaseStat struct {
 	Skew float64 `json:"skew,omitempty"`
 	// AllocBytes, AllocObjects, GCCycles and GCPause are the allocator
 	// movement across the phase (obs.MemDelta captured at the phase
-	// boundaries); zero — and omitted from JSON — under the noobs build,
-	// so journals stay byte-compatible across flavours.
+	// boundaries); omitted from JSON when zero.
 	AllocBytes   int64         `json:"alloc_bytes,omitempty"`
 	AllocObjects int64         `json:"alloc_objects,omitempty"`
 	GCCycles     int64         `json:"gc_cycles,omitempty"`
@@ -126,8 +121,8 @@ func (p PhaseStat) WorkerStats() WorkerStats {
 }
 
 // WithMem returns p with the phase's allocator movement filled in. A
-// zero delta (the noobs build, or a phase that allocated nothing)
-// leaves every memory field zero, keeping the JSON unchanged.
+// zero delta (a phase that allocated nothing) leaves every memory field
+// zero, keeping the JSON unchanged.
 func (p PhaseStat) WithMem(d MemDelta) PhaseStat {
 	p.AllocBytes = d.AllocBytes
 	p.AllocObjects = d.AllocObjects

@@ -1,9 +1,7 @@
 // Scaling analysis over phase statistics: the quantities the paper's
 // evaluation (§V) reads off its thread sweeps — speedup, parallel
 // efficiency, and an Amdahl serial-fraction fit — computed from the
-// PhaseStat breakdowns the pipeline already reports. This file carries
-// no build tag: the math is pure and must behave identically in live
-// and noobs builds (a noobs report simply has zero worker statistics).
+// PhaseStat breakdowns the pipeline already reports.
 package obs
 
 import "time"

@@ -216,8 +216,6 @@ func (ix *Index) SearchReportCtx(ctx context.Context, m metrics.Metric, threads 
 		rep.Elapsed = time.Since(start)
 		return Result{Node: hierarchy.Nil}, rep, ctx.Err()
 	}
-	// Phase durations use a local clock so they stay populated under the
-	// noobs build tag; only the worker statistics come from obs.
 	m0 := obs.ReadMem()
 	sp := obs.StartPhaseCtx(ctx, "search.primary")
 	//hcdlint:allow determinism phase timing for Report.Phases only; no influence on the Result

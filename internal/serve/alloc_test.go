@@ -11,7 +11,6 @@ import (
 // send, two atomic bumps and a histogram observe — no closure, no
 // timer, no span. This is the path every request takes on a healthy
 // server, so one allocation here is one allocation per served request.
-// Holds under both build flavours (the noobs metric stubs are inert).
 func TestAdmitFastPathAllocFree(t *testing.T) {
 	l := newLimiter(4, 4, time.Millisecond)
 	ctx := context.Background()

@@ -25,17 +25,15 @@ import (
 // and return nil, the process's exit-0 path. Run it with -race.
 func TestChaosDrainUnderLoad(t *testing.T) {
 	defaultSpec := false
-	if faultinject.Compiled() {
-		spec := os.Getenv("HCD_FAULTS")
-		if spec == "" {
-			spec = "serve.admit:panic:13,serve.query:panic:7,serve.rebuild:panic:2,serve.swap:panic:3"
-			defaultSpec = true
-		}
-		if err := faultinject.Enable(spec); err != nil {
-			t.Fatal(err)
-		}
-		defer faultinject.Disable()
+	spec := os.Getenv("HCD_FAULTS")
+	if spec == "" {
+		spec = "serve.admit:panic:13,serve.query:panic:7,serve.rebuild:panic:2,serve.swap:panic:3"
+		defaultSpec = true
 	}
+	if err := faultinject.Enable(spec); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
 
 	// Tight admission limits so the load loop provokes real shedding.
 	s := newTestServer(t, func(c *Config) {

@@ -241,8 +241,7 @@ type statsResponse struct {
 	Footprint *Footprint    `json:"footprint,omitempty"`
 	Serve     serveCounters `json:"serve"`
 	// SLO reports query availability and latency-threshold attainment
-	// over the sliding Config.SLOWindow. Under the noobs build the window
-	// is a stub and both ratios read 1 on a zero total.
+	// over the sliding Config.SLOWindow.
 	SLO sloSnapshot `json:"slo"`
 }
 
@@ -269,8 +268,7 @@ type serveCounters struct {
 	RebuildRetries int64 `json:"rebuild_retries"`
 	Swaps          int64 `json:"swaps"`
 	// LatencyP50NS / LatencyP99NS are bucket-interpolated request-latency
-	// quantiles (0 under the noobs build, where the histogram is a stub);
-	// QueueWaitP99NS is the same for the admission queue wait.
+	// quantiles; QueueWaitP99NS is the same for the admission queue wait.
 	LatencyP50NS   int64 `json:"latency_p50_ns"`
 	LatencyP99NS   int64 `json:"latency_p99_ns"`
 	QueueWaitP99NS int64 `json:"queue_wait_p99_ns"`

@@ -5,10 +5,7 @@
 // request as its own lane, per-route RED metrics, a structured access
 // log (plus a
 // slow-query log above Config.SlowQuery), the /debug/requests ring and
-// the SLO sliding window. The telemetry pieces (spans, metrics, ring,
-// SLO window) compile out under the noobs tag via the obs stubs and
-// reqobs_noobs.go; the logging and request-ID plumbing stay live in
-// every build — an operator's log line is not telemetry.
+// the SLO sliding window.
 package serve
 
 import (
@@ -163,7 +160,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // routeStats is one route's RED instrumentation: request rate, errors by
 // class, and a latency histogram. Registered once per route at mux
-// assembly; all stubs under noobs.
+// assembly.
 type routeStats struct {
 	requests *obs.Counter
 	duration *obs.Histogram
@@ -381,8 +378,7 @@ func verdictNames() []string {
 // handleDebugRequests serves the completed-request ring, newest first —
 // the net/trace-style live view. ?limit=N truncates; ?verdict=panic (or
 // any other classifier verdict) filters to matching requests, with
-// unknown verdicts rejected as 400. The response is valid (and empty)
-// under the noobs build, where the ring is a stub.
+// unknown verdicts rejected as 400.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	limit, err := formInt(r.URL.Query().Get("limit"), "limit")
 	if err != nil || limit < 0 {
@@ -414,7 +410,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		recs = []RequestRecord{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":  obs.Enabled(),
 		"capacity": s.ring.cap(),
 		"requests": recs,
 	})

@@ -1,10 +1,5 @@
-//go:build !noobs
-
-// Request-telemetry state that compiles out under the noobs tag: the
-// /debug/requests completed-request ring and the SLO sliding window.
-// reqobs_noobs.go mirrors the surface with inert stubs so the serve
-// package builds identically either way — the endpoints stay up and
-// answer well-formed empty payloads.
+// Request-telemetry state: the /debug/requests completed-request ring
+// and the SLO sliding window.
 package serve
 
 import (
