@@ -38,51 +38,61 @@ func TestBuildCtxFastPath(t *testing.T) {
 // TestBuildCtxFallsBackOnInjectedPanic is the tentpole acceptance check:
 // with a panic injected into any PHCD step or the peeling phases, BuildCtx
 // must still succeed — via the serial baseline — report the recovered
-// cause, produce a Validate-clean hierarchy, and leak no goroutines.
+// cause, produce a Validate-clean hierarchy, and leak no goroutines. At
+// one thread PHCD runs its serial path, whose only site is phcd.serial,
+// and the peel runs only the buffered kernel's one-worker bodies.
 func TestBuildCtxFallsBackOnInjectedPanic(t *testing.T) {
 	defer faultinject.Disable()
 	g := gen.ErdosRenyi(500, 2000, 4)
 	want, wantCore := hcd.BuildHCDSerial(g, hcd.CoreDecompositionSerial(g)), hcd.CoreDecompositionSerial(g)
 	// The peeling sites belong to the default kernel (the buffered one,
 	// hcd.DefaultPeelKernel) — the build pipeline only runs that kernel.
-	sites := []string{
-		"coredecomp.buffered.collect", "coredecomp.buffered.peel",
-		"phcd.step1", "phcd.step2", "phcd.step3", "phcd.step4",
+	cases := []struct {
+		threads int
+		sites   []string
+	}{
+		{4, []string{
+			"coredecomp.buffered.collect", "coredecomp.buffered.peel",
+			"phcd.step1", "phcd.step2", "phcd.step3", "phcd.step4",
+		}},
+		{1, []string{"coredecomp.buffered.collect", "coredecomp.buffered.peel", "phcd.serial"}},
 	}
-	for _, site := range sites {
-		if err := faultinject.Enable(site + ":panic:1"); err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		for _, site := range c.sites {
+			if err := faultinject.Enable(site + ":panic:1"); err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			h, core, rep, err := hcd.BuildCtx(context.Background(), g, hcd.Options{Threads: c.threads})
+			if err != nil {
+				t.Fatalf("threads %d %s: BuildCtx failed outright: %v", c.threads, site, err)
+			}
+			if !rep.Fallback || rep.Cause == nil {
+				t.Fatalf("threads %d %s: fallback not reported: %+v", c.threads, site, rep)
+			}
+			var f *faultinject.Fault
+			if !errors.As(rep.Cause, &f) || f.Site != site {
+				t.Errorf("threads %d %s: cause %v does not unwrap to the injected fault", c.threads, site, rep.Cause)
+			}
+			if err := hierarchy.Validate(h, g, core); err != nil {
+				t.Errorf("threads %d %s: fallback hierarchy invalid: %v", c.threads, site, err)
+			}
+			if !reflect.DeepEqual(core, wantCore) {
+				t.Errorf("threads %d %s: fallback coreness differs from serial baseline", c.threads, site)
+			}
+			if h.NumNodes() != want.NumNodes() {
+				t.Errorf("threads %d %s: fallback hierarchy has %d nodes, serial baseline %d",
+					c.threads, site, h.NumNodes(), want.NumNodes())
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("threads %d %s: goroutine leak: %d before, %d after", c.threads, site, before, got)
+			}
+			faultinject.Disable()
 		}
-		before := runtime.NumGoroutine()
-		h, core, rep, err := hcd.BuildCtx(context.Background(), g, hcd.Options{Threads: 4})
-		if err != nil {
-			t.Fatalf("%s: BuildCtx failed outright: %v", site, err)
-		}
-		if !rep.Fallback || rep.Cause == nil {
-			t.Fatalf("%s: fallback not reported: %+v", site, rep)
-		}
-		var f *faultinject.Fault
-		if !errors.As(rep.Cause, &f) || f.Site != site {
-			t.Errorf("%s: cause %v does not unwrap to the injected fault", site, rep.Cause)
-		}
-		if err := hierarchy.Validate(h, g, core); err != nil {
-			t.Errorf("%s: fallback hierarchy invalid: %v", site, err)
-		}
-		if !reflect.DeepEqual(core, wantCore) {
-			t.Errorf("%s: fallback coreness differs from serial baseline", site)
-		}
-		if h.NumNodes() != want.NumNodes() {
-			t.Errorf("%s: fallback hierarchy has %d nodes, serial baseline %d",
-				site, h.NumNodes(), want.NumNodes())
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if got := runtime.NumGoroutine(); got > before {
-			t.Errorf("%s: goroutine leak: %d before, %d after", site, before, got)
-		}
-		faultinject.Disable()
 	}
 }
 

@@ -14,19 +14,28 @@ import (
 )
 
 // TestPHCDCtxContainsInjectedPanics injects a panic into each of PHCD's
-// four per-level steps in turn and checks the containment contract: the
-// fault comes back as an error (never a process crash), it is identifiable
-// through errors.As, and no worker goroutine outlives the call.
+// four per-level steps in turn, and into the one-thread path's per-level
+// site, and checks the containment contract: the fault comes back as an
+// error (never a process crash), it is identifiable through errors.As,
+// and no worker goroutine outlives the call.
 func TestPHCDCtxContainsInjectedPanics(t *testing.T) {
 	defer faultinject.Disable()
 	g := gen.ErdosRenyi(400, 1600, 7)
 	core := coredecomp.Serial(g)
-	for _, site := range []string{"phcd.step1", "phcd.step2", "phcd.step3", "phcd.step4"} {
+	cases := []struct {
+		site    string
+		threads int
+	}{
+		{"phcd.step1", 4}, {"phcd.step2", 4}, {"phcd.step3", 4}, {"phcd.step4", 4},
+		{"phcd.serial", 1},
+	}
+	for _, c := range cases {
+		site := c.site
 		if err := faultinject.Enable(site + ":panic:1"); err != nil {
 			t.Fatal(err)
 		}
 		before := runtime.NumGoroutine()
-		h, err := PHCDCtx(context.Background(), g, core, nil, 4)
+		h, err := PHCDCtx(context.Background(), g, core, nil, c.threads)
 		if h != nil || err == nil {
 			t.Fatalf("%s: PHCDCtx = (%v, %v), want (nil, error)", site, h, err)
 		}
@@ -47,9 +56,11 @@ func TestPHCDCtxContainsInjectedPanics(t *testing.T) {
 	}
 	faultinject.Disable()
 	// With the injector disarmed, the same build must succeed again.
-	h, err := PHCDCtx(context.Background(), g, core, nil, 4)
-	if err != nil || h == nil {
-		t.Fatalf("disarmed rebuild failed: %v", err)
+	for _, threads := range []int{1, 4} {
+		h, err := PHCDCtx(context.Background(), g, core, nil, threads)
+		if err != nil || h == nil {
+			t.Fatalf("threads %d: disarmed rebuild failed: %v", threads, err)
+		}
 	}
 }
 

@@ -108,8 +108,14 @@ func PHCDCtx(ctx context.Context, g *graph.Graph, core []int32, lay *shellidx.La
 	}
 	p := par.Threads(threads)
 
-	// Algorithm 1: vertex ranks and the k-shell index.
-	rank := coredecomp.RankVertices(core, p)
+	// Algorithm 1: vertex ranks and the k-shell index. A layout was
+	// scattered from them and keeps them.
+	var rank *coredecomp.Ranking
+	if lay != nil {
+		rank = lay.Ranking()
+	} else {
+		rank = coredecomp.RankVertices(core, p)
+	}
 
 	if p == 1 {
 		// The sequential version of PHCD (§V-B compares it against LCPS):

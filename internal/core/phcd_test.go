@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,7 @@ import (
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
 	"hcd/internal/lcps"
+	"hcd/internal/shellidx"
 )
 
 func randomGraph(n, m int, seed int64) *graph.Graph {
@@ -153,5 +156,55 @@ func BenchmarkLB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		LB(g, core, 0)
+	}
+}
+
+// TestPHCDSerialListsDoNotShareCapacity checks the one-thread path's
+// slabs: every node's Vertices and Children list is cut from one shared
+// array, so an append to one node's list must reallocate rather than
+// overwrite the next node's entries. With and without a layout, it
+// appends to each node's lists in turn and checks that no other node's
+// lists changed.
+func TestPHCDSerialListsDoNotShareCapacity(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		gen.Onion(6, 12, 2, 2, 3, 5), // 15 nodes, 12 with children
+		gen.PlantedPartition(4, 40, 0.25, 0.01, 6),
+		gen.ErdosRenyi(300, 600, 2),
+		gen.RMAT(10, 4000, 4), // 350 nodes, 14 with children
+	} {
+		core := coredecomp.Serial(g)
+		lay := shellidx.Build(g, core, coredecomp.RankVertices(core, 1), 1)
+		for _, l := range []*shellidx.Layout{nil, lay} {
+			h, err := PHCDCtx(context.Background(), g, core, l, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parents := 0
+			for _, c := range h.Children {
+				if len(c) > 0 {
+					parents++
+				}
+			}
+			if h.NumNodes() < 3 || parents < 2 {
+				t.Fatalf("layout %v: %d nodes, %d with children; the graph is too small to test", l != nil, h.NumNodes(), parents)
+			}
+			wantV := make([][]int32, h.NumNodes())
+			wantC := make([][]hierarchy.NodeID, h.NumNodes())
+			for i := range wantV {
+				wantV[i] = slices.Clone(h.Vertices[i])
+				wantC[i] = slices.Clone(h.Children[i])
+			}
+			for i := range h.Vertices {
+				vs, cs := h.Vertices[i], h.Children[i]
+				h.Vertices[i] = append(vs, -1)
+				h.Children[i] = append(cs, hierarchy.Nil)
+				for j := range h.Vertices {
+					if j != i && (!slices.Equal(h.Vertices[j], wantV[j]) || !slices.Equal(h.Children[j], wantC[j])) {
+						t.Fatalf("layout %v: appending to node %d's lists changed node %d's", l != nil, i, j)
+					}
+				}
+				h.Vertices[i], h.Children[i] = vs, cs
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"hcd/internal/coredecomp"
+	"hcd/internal/faultinject"
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
 	"hcd/internal/shellidx"
@@ -17,22 +18,21 @@ import (
 // atomic operations. This is the configuration Table III's "(1)" column
 // measures against LCPS. With a layout, the fused scan touches only the
 // coreness >= k prefix of each list — m edge visits total instead of 2m.
-// A cancelled ctx aborts between levels; panics propagate to PHCDCtx's
-// recovery.
+// A cancelled ctx aborts between levels; panics, including one injected
+// at the per-level "phcd.serial" site, propagate to PHCDCtx's recovery.
+//
+// The level loop keeps node state flat: h.TID, the node levels h.K and
+// the Step 4 links. h.Parent, h.Children and h.Vertices are filled once
+// after the loop, the two lists as slabs cut per node.
 func phcdSerial(ctx context.Context, g *graph.Graph, core []int32, rank *coredecomp.Ranking, lay *shellidx.Layout, h *hierarchy.HCD) error {
 	n := g.NumVertices()
 	uf := unionfind.New(n, rank.Rank)
 	inKpc := make([]bool, n)
 	kpc := make([]int32, 0, 64)
-
-	newNode := func(k int32) hierarchy.NodeID {
-		id := hierarchy.NodeID(len(h.K))
-		h.K = append(h.K, k)
-		h.Parent = append(h.Parent, hierarchy.Nil)
-		h.Children = append(h.Children, nil)
-		h.Vertices = append(h.Vertices, nil)
-		return id
-	}
+	// links holds every (child, parent) tree edge in the order Step 4
+	// makes them: by level, then by ascending child pivot.
+	type link struct{ child, parent hierarchy.NodeID }
+	var links []link
 
 	for k := rank.KMax; k >= 0; k-- {
 		if err := ctx.Err(); err != nil {
@@ -42,6 +42,7 @@ func phcdSerial(ctx context.Context, g *graph.Graph, core []int32, rank *coredec
 		if len(shell) == 0 {
 			continue
 		}
+		faultinject.Maybe("phcd.serial")
 		// Steps 1+2, fused into one edge scan (serial-only optimisation).
 		// In Algorithm 2 the kpc_pivot collection (Step 1) finishes before
 		// any union (Step 2); sequentially the same pivots are observed by
@@ -88,16 +89,16 @@ func phcdSerial(ctx context.Context, g *graph.Graph, core []int32, rank *coredec
 				}
 			}
 		}
-		// Step 3: one node per pivot; group the shell by pivot.
+		// Step 3: one node per pivot, numbered in shell order.
 		for _, v := range shell {
 			pvt := uf.Pivot(v)
 			id := h.TID[pvt]
 			if id == hierarchy.Nil {
-				id = newNode(k)
+				id = hierarchy.NodeID(len(h.K))
+				h.K = append(h.K, k)
 				h.TID[pvt] = id
 			}
 			h.TID[v] = id
-			h.Vertices[id] = append(h.Vertices[id], v)
 		}
 		// Step 4: the recorded deeper pivots hang under the new nodes,
 		// linked in ascending child order to match the parallel path's
@@ -106,11 +107,62 @@ func phcdSerial(ctx context.Context, g *graph.Graph, core []int32, rank *coredec
 		sortInt32(kpc)
 		for _, v := range kpc {
 			inKpc[v] = false
-			ch := h.TID[v]
-			pa := h.TID[uf.Pivot(v)]
-			h.Parent[ch] = pa
-			h.Children[pa] = append(h.Children[pa], ch)
+			links = append(links, link{child: h.TID[v], parent: h.TID[uf.Pivot(v)]})
 		}
+	}
+
+	nn := len(h.K)
+	// Vertices: a counting sort of rank.Order by node. Order lists each
+	// shell by ascending id, so every node's run comes out id-sorted. In
+	// the scatter off[t] advances from the start of node t's run to its
+	// end, which is where node t+1's run starts. Full slice expressions
+	// keep an append to one node's list from overwriting the next run.
+	off := make([]int32, nn+1)
+	for _, t := range h.TID {
+		off[t+1]++
+	}
+	for t := 1; t <= nn; t++ {
+		off[t] += off[t-1]
+	}
+	vslab := make([]int32, n)
+	for _, v := range rank.Order {
+		t := h.TID[v]
+		vslab[off[t]] = v
+		off[t]++
+	}
+	h.Vertices = make([][]int32, nn)
+	lo := int32(0)
+	for t, hi := range off[:nn] {
+		h.Vertices[t] = vslab[lo:hi:hi]
+		lo = hi
+	}
+
+	// Parent and Children: the links bucketed by parent, keeping their
+	// order. A leaf's Children stays nil, as in the parallel path.
+	h.Parent = make([]hierarchy.NodeID, nn)
+	for t := range h.Parent {
+		h.Parent[t] = hierarchy.Nil
+	}
+	clear(off)
+	for _, l := range links {
+		h.Parent[l.child] = l.parent
+		off[l.parent+1]++
+	}
+	for t := 1; t <= nn; t++ {
+		off[t] += off[t-1]
+	}
+	cslab := make([]hierarchy.NodeID, len(links))
+	for _, l := range links {
+		cslab[off[l.parent]] = l.child
+		off[l.parent]++
+	}
+	h.Children = make([][]hierarchy.NodeID, nn)
+	lo = 0
+	for t, hi := range off[:nn] {
+		if hi > lo {
+			h.Children[t] = cslab[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return nil
 }

@@ -41,9 +41,18 @@ const bufferedGrain = 256
 //     fan-out never exceeds GOMAXPROCS — oversubscribed workers on a
 //     CPU-bound kernel only time-slice against each other.
 //   - A sub-round that peelWorkers sizes to one worker takes a scalar
-//     path with no lock-prefixed instructions at all: atomic Load/Store
-//     on a single goroutine compile to plain moves, so the per-edge
-//     decrement costs a couple of cycles instead of a locked RMW.
+//     path with no lock-prefixed instructions and no data-dependent
+//     branch: it reads and writes the degree array with plain loads and
+//     stores, and the decrement and the adoption test are arithmetic.
+//     (An atomic Store is not a plain move: on amd64 it compiles to a
+//     locked XCHG, so the scalar path must not use sync/atomic at all.)
+//
+// One degree array serves both kinds of sub-round. The multi-worker
+// bodies access it through the sync/atomic functions; the one-worker
+// body and the initial fill access it plainly. The two never overlap:
+// every phase is one par call, which joins its workers before the next
+// phase starts, and that join orders every plain access against every
+// atomic one.
 //
 // Containment contract of ParallelCtx: worker panics surface as a
 // *par.PanicError, a cancelled ctx aborts between rounds.
@@ -59,7 +68,7 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 		return core, ctx.Err()
 	}
 	p := par.Threads(threads)
-	deg := make([]atomic.Int32, n)
+	deg := make([]int32, n)
 	// Active-list compaction as in ParallelCtx: each slot keeps the
 	// shrinking list of vertices still above the current level.
 	actives := make([][]int32, p)
@@ -68,7 +77,8 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 			lo, hi := t*n/p, (t+1)*n/p
 			buf := make([]int32, 0, hi-lo)
 			for v := lo; v < hi; v++ {
-				deg[v].Store(int32(g.Degree(int32(v))))
+				//hcdlint:allow atomic-discipline the fill writes disjoint slots before any sub-round runs; the par join orders it before every atomic access
+				deg[v] = int32(g.Degree(int32(v)))
 				buf = append(buf, int32(v))
 			}
 			actives[t] = buf
@@ -103,7 +113,9 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 				act := actives[t]
 				w := 0
 				for _, v := range act {
-					d := deg[v].Load()
+					// Collection only reads; the atomic load is a plain
+					// move, so one body serves every worker count.
+					d := atomic.LoadInt32(&deg[v])
 					if d == level {
 						stage[sn] = v
 						sn++
@@ -141,13 +153,14 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 			var err error
 			if workers == 1 {
 				// Single-worker sub-round: the body runs alone (inline on
-				// the calling goroutine), so the lock-prefixed RMWs of the
-				// concurrent path are unnecessary — atomic Load/Store
-				// compile to plain moves, and the next frontier grows under
-				// a local cursor. The adoption rule is unchanged: decrement
-				// on d > level, adopt when the decrement lands on level.
-				// Still routed through par so an injected panic at the site
-				// is contained identically to the concurrent path.
+				// the calling goroutine), so it reads and writes deg with
+				// plain loads and stores, and the next frontier grows
+				// under a local cursor. The adoption rule is unchanged —
+				// decrement while d > level, adopt when the decrement
+				// lands on level — but both tests are arithmetic, so a
+				// neighbour costs no data-dependent branch. Still routed
+				// through par so an injected panic at the site is
+				// contained identically to the concurrent path.
 				nt := int64(0)
 				err = par.ForChunkedErr(ctx, int(tail), 1, bufferedGrain, func(lo, hi int) error {
 					faultinject.Maybe("coredecomp.buffered.peel")
@@ -155,14 +168,18 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 						v := cl[i]
 						core[v] = level
 						for _, u := range g.Neighbors(v) {
-							if d := deg[u].Load(); d > level {
-								d--
-								deg[u].Store(d)
-								if d == level {
-									nx[nt] = u
-									nt++
-								}
-							}
+							//hcdlint:allow atomic-discipline a one-worker sub-round runs alone between par joins, which order it against the multi-worker rounds' atomic accesses
+							du := &deg[u]
+							d := *du
+							// (level-d)>>31 is -1 when d > level, else 0.
+							*du = d + (level-d)>>31
+							// u is adopted when d was level+1, i.e. x == 0,
+							// and (x|-x)>>31 is 1 for every other x. nx[nt]
+							// is in range: this frontier, nx[:nt] and the
+							// vertices peeled before are disjoint, so nt < n.
+							nx[nt] = u
+							x := uint32(d - level - 1)
+							nt += int64(1 ^ (x|-x)>>31)
 						}
 					}
 					return nil
@@ -178,8 +195,8 @@ func BufferedCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, err
 						v := cl[i]
 						core[v] = level
 						for _, u := range g.Neighbors(v) {
-							if deg[u].Load() > level {
-								if d := deg[u].Add(-1); d == level {
+							if atomic.LoadInt32(&deg[u]) > level {
+								if d := atomic.AddInt32(&deg[u], -1); d == level {
 									stage[sn] = u
 									sn++
 									if sn == len(stage) {

@@ -179,41 +179,46 @@ var kernelSites = map[Kernel][]string{
 // TestPeelCtxContainsInjectedPanics injects a panic into every site of
 // every kernel and checks the shared containment contract: the fault
 // surfaces as an error identifiable through errors.As, and no worker
-// goroutine outlives the call.
+// goroutine outlives the call. It runs at one thread too, the thread
+// count of every benchmarked build: there the buffered kernel runs only
+// its one-worker collect and sub-round bodies, and each must still
+// reach its site.
 func TestPeelCtxContainsInjectedPanics(t *testing.T) {
 	defer faultinject.Disable()
 	g := gen.ErdosRenyi(400, 1600, 7)
-	for k, sites := range kernelSites {
-		for _, site := range sites {
-			if err := faultinject.Enable(site + ":panic:1"); err != nil {
-				t.Fatal(err)
+	for _, threads := range []int{1, 4} {
+		for k, sites := range kernelSites {
+			for _, site := range sites {
+				if err := faultinject.Enable(site + ":panic:1"); err != nil {
+					t.Fatal(err)
+				}
+				before := runtime.NumGoroutine()
+				core, err := PeelCtx(context.Background(), g, threads, k)
+				if core != nil || err == nil {
+					t.Fatalf("threads %d %s/%s: PeelCtx = (%v, %v), want (nil, error)", threads, k, site, core, err)
+				}
+				var f *faultinject.Fault
+				if !errors.As(err, &f) || f.Site != site {
+					t.Errorf("threads %d %s/%s: error %v does not unwrap to the injected fault", threads, k, site, err)
+				}
+				var pe *par.PanicError
+				if !errors.As(err, &pe) {
+					t.Errorf("threads %d %s/%s: error %v is not a contained worker panic", threads, k, site, err)
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if got := runtime.NumGoroutine(); got > before {
+					t.Errorf("threads %d %s/%s: goroutine leak: %d before, %d after", threads, k, site, before, got)
+				}
+				faultinject.Disable()
 			}
-			before := runtime.NumGoroutine()
-			core, err := PeelCtx(context.Background(), g, 4, k)
-			if core != nil || err == nil {
-				t.Fatalf("%s/%s: PeelCtx = (%v, %v), want (nil, error)", k, site, core, err)
+			// Disarmed, the same kernel must succeed again.
+			core, err := PeelCtx(context.Background(), g, threads, k)
+			if err != nil || core == nil {
+				t.Fatalf("threads %d %s: disarmed rerun failed: %v", threads, k, err)
 			}
-			var f *faultinject.Fault
-			if !errors.As(err, &f) || f.Site != site {
-				t.Errorf("%s/%s: error %v does not unwrap to the injected fault", k, site, err)
-			}
-			var pe *par.PanicError
-			if !errors.As(err, &pe) {
-				t.Errorf("%s/%s: error %v is not a contained worker panic", k, site, err)
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got := runtime.NumGoroutine(); got > before {
-				t.Errorf("%s/%s: goroutine leak: %d before, %d after", k, site, before, got)
-			}
-			faultinject.Disable()
-		}
-		// Disarmed, the same kernel must succeed again.
-		core, err := PeelCtx(context.Background(), g, 4, k)
-		if err != nil || core == nil {
-			t.Fatalf("%s: disarmed rerun failed: %v", k, err)
 		}
 	}
 }

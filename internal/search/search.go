@@ -129,9 +129,9 @@ func NewIndexCtx(ctx context.Context, g *graph.Graph, core []int32, h *hierarchy
 func (ix *Index) Hierarchy() *hierarchy.HCD { return ix.h }
 
 // Bytes returns the index's exclusive storage footprint in bytes: the
-// bottom-up node order, plus the layout's reordered adjacency and count
-// arrays when the index owns one, or the gt/eq preprocessing arrays when
-// it had to build its own. With a layout present gtK/eqK alias the
+// bottom-up node order, plus the layout's footprint (reordered
+// adjacency, count arrays and the ranking it keeps) when the index owns
+// one, or the gt/eq preprocessing arrays when it had to build its own. With a layout present gtK/eqK alias the
 // layout's arrays (NewIndexCtx), so only the layout side is counted —
 // never both. The graph, coreness array and hierarchy are owned by the
 // caller and excluded.

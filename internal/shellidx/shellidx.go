@@ -39,6 +39,7 @@ type Layout struct {
 	adj     []int32 // len 2m; per vertex: descending coreness, ties asc id
 	gt      []int32 // gt[v] = |{u ∈ N(v) : c(u) > c(v)}|
 	eq      []int32 // eq[v] = |{u ∈ N(v) : c(u) = c(v)}|
+	rank    *coredecomp.Ranking
 }
 
 // NumVertices returns the number of vertices the layout covers.
@@ -95,18 +96,30 @@ func (l *Layout) GtCounts() []int32 { return l.gt }
 // Aliases the layout; read-only.
 func (l *Layout) EqCounts() []int32 { return l.eq }
 
+// Ranking returns the vertex ranking the layout was built from, so a
+// consumer of the layout (PHCD) need not rank the vertices again. Shared
+// with the layout; read-only.
+func (l *Layout) Ranking() *coredecomp.Ranking { return l.rank }
+
 // Bytes returns the layout's exclusive storage footprint in bytes: the
-// reordered adjacency (4·2m) plus the gt/eq count arrays (4n each). The
-// offsets array is excluded — it aliases the graph's CSR offsets and is
-// already counted by graph.Bytes; summing the two never double-counts.
+// reordered adjacency (4·2m), the gt/eq count arrays (4n each) and the
+// retained ranking (Order and Rank at 4n each, ShellStart at 8 bytes per
+// level). The offsets array is excluded — it aliases the graph's CSR
+// offsets and is already counted by graph.Bytes; summing the two never
+// double-counts.
 func (l *Layout) Bytes() int64 {
-	return int64(len(l.adj))*4 + int64(len(l.gt))*4 + int64(len(l.eq))*4
+	b := int64(len(l.adj))*4 + int64(len(l.gt))*4 + int64(len(l.eq))*4
+	if r := l.rank; r != nil {
+		b += int64(len(r.Order))*4 + int64(len(r.Rank))*4 + int64(len(r.ShellStart))*8
+	}
+	return b
 }
 
 // Build constructs the layout with the given number of threads
 // (0 = GOMAXPROCS). core must be g's core decomposition and r its vertex
 // ranking (coredecomp.RankVertices(core, ...)); the ranking is reused for
-// the degeneracy bound and for the serial fast path. O(n + m) work.
+// the degeneracy bound and for the serial fast path, and the layout keeps
+// it (see Ranking). O(n + m) work.
 func Build(g *graph.Graph, core []int32, r *coredecomp.Ranking, threads int) *Layout {
 	l, err := BuildCtx(context.Background(), g, core, r, threads)
 	if err != nil {
@@ -130,12 +143,13 @@ func BuildCtx(ctx context.Context, g *graph.Graph, core []int32, r *coredecomp.R
 		adj:     make([]int32, 2*g.NumEdges()),
 		gt:      make([]int32, n),
 		eq:      make([]int32, n),
+		rank:    r,
 	}
 	if n == 0 {
 		return l, ctx.Err()
 	}
 	if par.Threads(threads) == 1 {
-		l.buildSerial(g, core, r)
+		l.buildSerial(g, r)
 		return l, ctx.Err()
 	}
 	if err := l.buildParallel(ctx, g, core, r, threads); err != nil {
@@ -149,21 +163,27 @@ func BuildCtx(ctx context.Context, g *graph.Graph, core []int32, r *coredecomp.R
 // id within a shell) and appending each source to its neighbors' cursors
 // yields every destination list already in (descending coreness, ascending
 // id) order — no per-vertex sorting at all. One pass, O(m).
-func (l *Layout) buildSerial(g *graph.Graph, core []int32, r *coredecomp.Ranking) {
+//
+// The scatter compares no corenesses. When u's own shell starts, every
+// source so far was deeper than u, so gt[u] is how far u's cursor has
+// moved; the cursor's further growth across the shell is eq[u].
+func (l *Layout) buildSerial(g *graph.Graph, r *coredecomp.Ranking) {
 	n := g.NumVertices()
 	cur := make([]int64, n)
 	copy(cur, l.offsets[:n])
 	for k := r.KMax; k >= 0; k-- {
-		for _, v := range r.Shell(k) {
+		shell := r.Shell(k)
+		for _, u := range shell {
+			l.gt[u] = int32(cur[u] - l.offsets[u])
+		}
+		for _, v := range shell {
 			for _, u := range g.Neighbors(v) {
 				l.adj[cur[u]] = v
 				cur[u]++
-				if k > core[u] {
-					l.gt[u]++
-				} else if k == core[u] {
-					l.eq[u]++
-				}
 			}
+		}
+		for _, u := range shell {
+			l.eq[u] = int32(cur[u]-l.offsets[u]) - l.gt[u]
 		}
 	}
 }

@@ -146,6 +146,27 @@ func TestSuiteLayouts(t *testing.T) {
 	}
 }
 
+// TestLayoutKeepsRanking checks that a layout hands back the ranking it
+// was built from, at either build path, and that Bytes counts it: the
+// adjacency at 4 bytes per half-edge, gt/eq and the ranking's Order and
+// Rank at 4 bytes per vertex each, and ShellStart at 8 bytes per level.
+func TestLayoutKeepsRanking(t *testing.T) {
+	g := gen.ErdosRenyi(300, 1200, 1)
+	core := coredecomp.Serial(g)
+	r := coredecomp.RankVertices(core, 1)
+	n := int64(g.NumVertices())
+	want := 8*g.NumEdges() + 16*n + 8*int64(r.KMax+2)
+	for _, threads := range []int{1, 4} {
+		l := Build(g, core, r, threads)
+		if l.Ranking() != r {
+			t.Errorf("threads=%d: Ranking() is not the ranking the layout was built from", threads)
+		}
+		if got := l.Bytes(); got != want {
+			t.Errorf("threads=%d: Bytes() = %d, want %d", threads, got, want)
+		}
+	}
+}
+
 func BenchmarkBuildLayout(b *testing.B) {
 	g := gen.RMAT(15, 1<<18, 7)
 	core := coredecomp.Serial(g)
