@@ -55,17 +55,21 @@ type BuildReport struct {
 
 // runPhase runs f as one named pipeline phase: an obs phase span is
 // opened around it (arming the par worker hooks) and the measured
-// PhaseStat is appended to the report. Returns f's error.
+// PhaseStat is appended to the report. Returns f's error. The phase is
+// timed from before its opening memory capture to after its closing one:
+// each capture stops the world, so timing it outside the phase would
+// leave it in no phase at all, and the phases would stop adding up to
+// Elapsed.
 func (rep *BuildReport) runPhase(name string, f func() error) error {
+	start := time.Now()
 	m0 := obs.ReadMem()
 	//hcdlint:allow site-hygiene phase names flow in from the fixed caller set below (peel, phcd, rank+layout, index, fallback, verify), each a literal at its call site
 	sp := obs.StartPhase(name)
-	start := time.Now()
 	err := f()
-	d := time.Since(start)
 	sp.End()
+	mem := obs.ReadMem().Sub(m0)
 	//hcdlint:allow site-hygiene phase name flows in from the fixed caller set below, each a literal at its call site
-	rep.Phases = append(rep.Phases, obs.NewPhaseStat(name, d, sp.WorkerStats()).WithMem(obs.ReadMem().Sub(m0)))
+	rep.Phases = append(rep.Phases, obs.NewPhaseStat(name, time.Since(start), sp.WorkerStats()).WithMem(mem))
 	return err
 }
 

@@ -235,8 +235,9 @@ func (s *Searcher) NumNodes() int { return s.h.NumNodes() }
 
 // IndexBytes reports the searcher's exclusive index footprint in bytes
 // (the coreness-ordered layout or the gt/eq preprocessing arrays,
-// whichever the searcher owns), computed deterministically from array
-// lengths. The graph and hierarchy are shared structures accounted
+// whichever the searcher owns, plus the Type-B forward lists once the
+// first Type-B query has built them), computed deterministically from
+// array lengths. The graph and hierarchy are shared structures accounted
 // separately (Graph.Bytes, HCD.Bytes).
 func (s *Searcher) IndexBytes() int64 { return s.ix.Bytes() }
 

@@ -184,41 +184,65 @@ var kernelSites = map[Kernel][]string{
 // its one-worker collect and sub-round bodies, and each must still
 // reach its site.
 func TestPeelCtxContainsInjectedPanics(t *testing.T) {
-	defer faultinject.Disable()
 	g := gen.ErdosRenyi(400, 1600, 7)
 	for _, threads := range []int{1, 4} {
-		for k, sites := range kernelSites {
-			for _, site := range sites {
-				if err := faultinject.Enable(site + ":panic:1"); err != nil {
-					t.Fatal(err)
-				}
-				before := runtime.NumGoroutine()
-				core, err := PeelCtx(context.Background(), g, threads, k)
-				if core != nil || err == nil {
-					t.Fatalf("threads %d %s/%s: PeelCtx = (%v, %v), want (nil, error)", threads, k, site, core, err)
-				}
-				var f *faultinject.Fault
-				if !errors.As(err, &f) || f.Site != site {
-					t.Errorf("threads %d %s/%s: error %v does not unwrap to the injected fault", threads, k, site, err)
-				}
-				var pe *par.PanicError
-				if !errors.As(err, &pe) {
-					t.Errorf("threads %d %s/%s: error %v is not a contained worker panic", threads, k, site, err)
-				}
-				deadline := time.Now().Add(2 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if got := runtime.NumGoroutine(); got > before {
-					t.Errorf("threads %d %s/%s: goroutine leak: %d before, %d after", threads, k, site, before, got)
-				}
-				faultinject.Disable()
+		checkPeelContainment(t, g, threads)
+	}
+}
+
+// TestPeelCtxContainsInjectedPanicsMultiWorker re-runs the containment
+// contract with the fan-out forced wide: peelFanoutGrain drops to 1 and
+// GOMAXPROCS rises to 4, so every round runs several workers and the
+// concurrent sub-round bodies, not the one-worker ones, reach the sites.
+func TestPeelCtxContainsInjectedPanicsMultiWorker(t *testing.T) {
+	oldGrain := peelFanoutGrain
+	peelFanoutGrain = 1
+	oldProcs := runtime.GOMAXPROCS(4)
+	defer func() {
+		peelFanoutGrain = oldGrain
+		runtime.GOMAXPROCS(oldProcs)
+	}()
+	checkPeelContainment(t, gen.ErdosRenyi(400, 1600, 7), 4)
+}
+
+// checkPeelContainment arms a panic at each site of each kernel in turn,
+// peels g at the given thread count, and checks the fault comes back as
+// a contained error, no goroutine leaks, and the disarmed kernel then
+// succeeds.
+func checkPeelContainment(t *testing.T, g *graph.Graph, threads int) {
+	t.Helper()
+	defer faultinject.Disable()
+	for k, sites := range kernelSites {
+		for _, site := range sites {
+			if err := faultinject.Enable(site + ":panic:1"); err != nil {
+				t.Fatal(err)
 			}
-			// Disarmed, the same kernel must succeed again.
+			before := runtime.NumGoroutine()
 			core, err := PeelCtx(context.Background(), g, threads, k)
-			if err != nil || core == nil {
-				t.Fatalf("threads %d %s: disarmed rerun failed: %v", threads, k, err)
+			if core != nil || err == nil {
+				t.Fatalf("threads %d %s/%s: PeelCtx = (%v, %v), want (nil, error)", threads, k, site, core, err)
 			}
+			var f *faultinject.Fault
+			if !errors.As(err, &f) || f.Site != site {
+				t.Errorf("threads %d %s/%s: error %v does not unwrap to the injected fault", threads, k, site, err)
+			}
+			var pe *par.PanicError
+			if !errors.As(err, &pe) {
+				t.Errorf("threads %d %s/%s: error %v is not a contained worker panic", threads, k, site, err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("threads %d %s/%s: goroutine leak: %d before, %d after", threads, k, site, before, got)
+			}
+			faultinject.Disable()
+		}
+		// Disarmed, the same kernel must succeed again.
+		core, err := PeelCtx(context.Background(), g, threads, k)
+		if err != nil || core == nil {
+			t.Fatalf("threads %d %s: disarmed rerun failed: %v", threads, k, err)
 		}
 	}
 }

@@ -24,6 +24,7 @@ package search
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"hcd/internal/graph"
@@ -38,7 +39,9 @@ import (
 // §IV-A preprocessing — per-vertex counts of neighbors with greater and
 // equal coreness — runs once in NewIndex and is shared by every subsequent
 // Search, whatever the metric, as is the bottom-up node order the
-// per-query fold walks.
+// per-query fold walks. Algorithm 5's forward lists are built by the
+// first Type-B query and shared by every later one; they hold no
+// metric-dependent value. An Index is safe for concurrent queries.
 type Index struct {
 	g    *graph.Graph
 	core []int32
@@ -48,6 +51,7 @@ type Index struct {
 	eqK  []int32            // eqK[v] = |{u in N(v) : c(u) = c(v)}|
 	up   []hierarchy.NodeID // tree nodes, every child before its parent
 	kmax int32
+	fw   atomic.Pointer[forward] // Type-B forward lists, nil until first use
 }
 
 // NewIndex builds the search index, running the preprocessing with the
@@ -63,9 +67,10 @@ func NewIndex(g *graph.Graph, core []int32, h *hierarchy.HCD, threads int) *Inde
 // adjacency layout (shellidx.Build for the same g and core; nil falls back
 // to scanning the raw adjacency). The layout already carries the gt/eq
 // neighbor counts, so the §IV-A preprocessing becomes two O(1) aliases;
-// PrimaryB takes each vertex's deeper segment as the first half of its
-// forward triangle list, and its triplet binning walks the layout's
-// shallower segment instead of re-bucketing neighbors by coreness.
+// PrimaryB's forward lists copy each vertex's deeper segment whole and
+// filter only its same-shell one, and its triplet binning walks the
+// layout's shallower segment instead of re-bucketing neighbors by
+// coreness.
 func NewIndexWithLayout(g *graph.Graph, core []int32, h *hierarchy.HCD, lay *shellidx.Layout, threads int) *Index {
 	ix, err := NewIndexCtx(context.Background(), g, core, h, lay, threads)
 	if err != nil {
@@ -78,7 +83,8 @@ func NewIndexWithLayout(g *graph.Graph, core []int32, h *hierarchy.HCD, lay *she
 // cooperative cancellation: a worker panic in the preprocessing scan
 // surfaces as a *par.PanicError instead of crashing the process, and a
 // cancelled ctx (nil means background) aborts the scan at its internal
-// chunk boundaries.
+// chunk boundaries. It does not build PrimaryB's forward lists: an index
+// that never serves a Type-B query never pays for them.
 func NewIndexCtx(ctx context.Context, g *graph.Graph, core []int32, h *hierarchy.HCD, lay *shellidx.Layout, threads int) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -131,12 +137,17 @@ func (ix *Index) Hierarchy() *hierarchy.HCD { return ix.h }
 // Bytes returns the index's exclusive storage footprint in bytes: the
 // bottom-up node order, plus the layout's footprint (reordered
 // adjacency, count arrays and the ranking it keeps) when the index owns
-// one, or the gt/eq preprocessing arrays when it had to build its own. With a layout present gtK/eqK alias the
-// layout's arrays (NewIndexCtx), so only the layout side is counted —
-// never both. The graph, coreness array and hierarchy are owned by the
-// caller and excluded.
+// one, or the gt/eq preprocessing arrays when it had to build its own,
+// plus PrimaryB's forward lists (8(n+1) + 4m) once a Type-B query has
+// built them. With a layout present gtK/eqK alias the layout's arrays
+// (NewIndexCtx), so only the layout side is counted — never both. The
+// graph, coreness array and hierarchy are owned by the caller and
+// excluded.
 func (ix *Index) Bytes() int64 {
 	b := int64(len(ix.up)) * 4
+	if f := ix.fw.Load(); f != nil {
+		b += int64(len(f.off))*8 + int64(len(f.adj))*4
+	}
 	if ix.lay != nil {
 		return b + ix.lay.Bytes()
 	}
@@ -216,10 +227,13 @@ func (ix *Index) SearchReportCtx(ctx context.Context, m metrics.Metric, threads 
 		rep.Elapsed = time.Since(start)
 		return Result{Node: hierarchy.Nil}, rep, ctx.Err()
 	}
-	m0 := obs.ReadMem()
-	sp := obs.StartPhaseCtx(ctx, "search.primary")
+	// Each phase is timed from before its opening memory capture to after
+	// its closing one: a capture stops the world, so timing it outside
+	// the phase would leave it in no phase at all.
 	//hcdlint:allow determinism phase timing for Report.Phases only; no influence on the Result
 	ps := time.Now()
+	m0 := obs.ReadMem()
+	sp := obs.StartPhaseCtx(ctx, "search.primary")
 	var vals []metrics.PrimaryValues
 	var err error
 	if m.Kind() == metrics.TypeA {
@@ -227,23 +241,23 @@ func (ix *Index) SearchReportCtx(ctx context.Context, m metrics.Metric, threads 
 	} else {
 		vals, err = ix.PrimaryBCtx(ctx, threads)
 	}
-	pd := time.Since(ps)
 	sp.End()
-	rep.Phases = append(rep.Phases, obs.NewPhaseStat("search.primary", pd, sp.WorkerStats()).WithMem(obs.ReadMem().Sub(m0)))
+	mem := obs.ReadMem().Sub(m0)
+	rep.Phases = append(rep.Phases, obs.NewPhaseStat("search.primary", time.Since(ps), sp.WorkerStats()).WithMem(mem))
 	if err != nil {
 		return Result{Node: hierarchy.Nil}, nil, err
 	}
-	m0 = obs.ReadMem()
-	sp = obs.StartPhaseCtx(ctx, "search.score")
 	//hcdlint:allow determinism phase timing for Report.Phases only; no influence on the Result
 	ps = time.Now()
+	m0 = obs.ReadMem()
+	sp = obs.StartPhaseCtx(ctx, "search.score")
 	r, err := ix.pickCtx(ctx, m, vals, threads)
-	pd = time.Since(ps)
 	sp.End()
 	if err != nil {
 		return Result{Node: hierarchy.Nil}, nil, err
 	}
-	rep.Phases = append(rep.Phases, obs.NewPhaseStat("search.score", pd, sp.WorkerStats()).WithMem(obs.ReadMem().Sub(m0)))
+	mem = obs.ReadMem().Sub(m0)
+	rep.Phases = append(rep.Phases, obs.NewPhaseStat("search.score", time.Since(ps), sp.WorkerStats()).WithMem(mem))
 	rep.Elapsed = time.Since(start)
 	return r, rep, nil
 }
@@ -302,39 +316,11 @@ func (ix *Index) pickCtx(ctx context.Context, m metrics.Metric, vals []metrics.P
 // serves. It returns Node == hierarchy.Nil when no k-core satisfies the
 // constraint.
 func (ix *Index) SearchConstrained(m metrics.Metric, minSize, maxSize int64, threads int) Result {
-	nn := ix.h.NumNodes()
-	if nn == 0 {
-		return Result{Node: hierarchy.Nil}
+	r, err := ix.SearchConstrainedCtx(context.Background(), m, minSize, maxSize, threads)
+	if err != nil {
+		panic(err)
 	}
-	var vals []metrics.PrimaryValues
-	if m.Kind() == metrics.TypeA {
-		vals = ix.PrimaryA(threads)
-	} else {
-		vals = ix.PrimaryB(threads)
-	}
-	stats := ix.Stats()
-	scores := make([]float64, nn)
-	best := hierarchy.Nil
-	for i := 0; i < nn; i++ {
-		if vals[i].N < minSize || (maxSize > 0 && vals[i].N > maxSize) {
-			scores[i] = math.Inf(-1)
-			continue
-		}
-		scores[i] = m.Score(vals[i], stats)
-		if best == hierarchy.Nil || scores[i] > scores[best] {
-			best = hierarchy.NodeID(i)
-		}
-	}
-	if best == hierarchy.Nil {
-		return Result{Node: hierarchy.Nil, Scores: scores}
-	}
-	return Result{
-		Node:   best,
-		K:      ix.h.K[best],
-		Score:  scores[best],
-		Values: vals[best],
-		Scores: scores,
-	}
+	return r
 }
 
 // SearchConstrainedCtx is SearchConstrained with failure containment and

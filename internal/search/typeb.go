@@ -2,12 +2,12 @@ package search
 
 import (
 	"context"
+	"sync/atomic"
 
 	"hcd/internal/faultinject"
 	"hcd/internal/metrics"
 	"hcd/internal/obs"
 	"hcd/internal/par"
-	"hcd/internal/shellidx"
 )
 
 // PrimaryB computes, for every tree node, the Type B primary values —
@@ -38,12 +38,12 @@ import (
 //     |N+(u)| ≤ c(u) + min(eq(u), 2m/d(u)) ≤ 2√(2m) and the triangle pass
 //     is O(m^1.5). Ordering a shell by id alone would break the bound: a
 //     star's centre would carry half its leaves forward.
-//   - Scratch: with a layout, N+(v) is the layout's deeper segment plus a
-//     per-query list of the same-shell neighbors above v; without one the
-//     per-query lists hold all of N+(v). Either way they are built by one
-//     count, prefix-sum and fill pass (forwardCtx) — 8(n+1) bytes of
-//     offsets plus 4 per entry, released with the query — and one counting
-//     loop reads them.
+//   - Forward lists: N+(v) is one slice, adj[off[v]:off[v+1]], of a CSR
+//     the Index builds on the first Type-B call and keeps (forwardLists).
+//     With a layout it is the layout's deeper segment followed by the
+//     same-shell neighbors above v; without one, the filtered adjacency.
+//     It costs 8(n+1) bytes of offsets plus 4 per edge, and depends only
+//     on (g, core), so every later query, whatever its metric, reads it.
 //   - Triplets centered at v: C(gt,2) of them have both endpoints at
 //     coreness >= c(v) and are charged to v's node; for each lower level k
 //     with cnt_k neighbors in Hk, C(cnt_k,2) + gt_k·cnt_k triplets join at
@@ -53,12 +53,19 @@ import (
 //     coreness runs directly; without one they are bucketed into scratch
 //     arrays.
 //
-// Each thread accumulates into a private copy of the node table and the
+// Workers count in countChunk-vertex chunks taken from shared cursors,
+// so a run of heavy vertices does not hold one worker while the others
+// idle: a vertex's counting work is Σ_{u ∈ N+(v)} |N+(u)|, which no
+// static split by degree balances. Worker t starts in the t-th of p
+// edge-balanced vertex ranges, which keeps each worker's reads mostly in
+// its own part of the lists, and then helps the ranges after it. Each
+// worker accumulates into a private copy of the node table and the
 // copies are summed into the Type A rows afterwards — no atomic traffic
-// on hot nodes, and the totals are exact sums, so the result is
-// deterministic. The same bottom-up fold as PrimaryA then yields
-// per-core totals of all five values. Total work O(m^1.5), matching the
-// best sequential bound for triangle counting: work-efficient.
+// on hot nodes, and the totals are exact sums, so the result is the same
+// whichever worker took which chunk. The same bottom-up fold as PrimaryA
+// then yields per-core totals of all five values. Total work O(m^1.5),
+// matching the best sequential bound for triangle counting:
+// work-efficient.
 func (ix *Index) PrimaryB(threads int) []metrics.PrimaryValues {
 	out, err := ix.PrimaryBCtx(context.Background(), threads)
 	if err != nil {
@@ -67,34 +74,36 @@ func (ix *Index) PrimaryB(threads int) []metrics.PrimaryValues {
 	return out
 }
 
+// countChunk is the number of vertices a counting worker takes from a
+// range's cursor at a time, and so how often it polls ctx.
+const countChunk = 1024
+
 // PrimaryBCtx is PrimaryB with failure containment: worker panics surface
 // as a *par.PanicError, and a cancelled ctx aborts the counting loop
-// within a thread's vertex range (polled every 1024 vertices — Type B is
-// the longest-running kernel, so it cannot wait for a chunk boundary).
+// within one chunk (Type B is the longest-running kernel, so it cannot
+// wait for the whole pass). A failed or cancelled first call leaves no
+// forward lists behind; the next call builds them again.
 func (ix *Index) PrimaryBCtx(ctx context.Context, threads int) ([]metrics.PrimaryValues, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer obs.StartSpanCtx(ctx, "search.typeb").End()
-	g, h := ix.g, ix.h
-	n := g.NumVertices()
-	nn := h.NumNodes()
+	n := ix.g.NumVertices()
+	nn := ix.h.NumNodes()
 	p := par.Threads(threads)
 
-	// Split vertices into p contiguous ranges of roughly equal adjacency
-	// volume, so degree skew does not starve threads.
-	bounds := ix.edgeBalancedBounds(p)
-	fw, err := ix.forwardCtx(ctx, bounds)
+	fw, err := ix.forwardLists(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 
 	locals := make([][]int64, p)
+	bounds := ix.edgeBalancedBounds(p)
+	next := make([]atomic.Int64, p) // chunk cursor of each range
 	err = par.ForErr(ctx, p, p, func(tlo, thi int) error {
 		faultinject.Maybe("search.typeb")
 		for t := tlo; t < thi; t++ {
-			lo, hi := bounds[t], bounds[t+1]
-			// Per-thread scratch and output table.
+			// Per-worker scratch and output table.
 			local := make([]int64, nn*2) // rows: [triangles, triplets]
 			mark := make([]int32, n)     // mark[w] == v+1  <=>  w in N+(v)
 			var cnt, rep []int32
@@ -102,13 +111,22 @@ func (ix *Index) PrimaryBCtx(ctx context.Context, threads int) ([]metrics.Primar
 				cnt = make([]int32, ix.kmax+1)
 				rep = make([]int32, ix.kmax+1)
 			}
-			for v := lo; v < hi; v++ {
-				if (v-lo)&1023 == 1023 {
+			// Drain range t first, then help the ranges after it.
+			for r := 0; r < p; r++ {
+				k := (t + r) % p
+				for {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
+					lo := int64(bounds[k]) + next[k].Add(countChunk) - countChunk
+					if lo >= int64(bounds[k+1]) {
+						break
+					}
+					hi := min(lo+countChunk, int64(bounds[k+1]))
+					for v := int32(lo); v < int32(hi); v++ {
+						ix.countVertex(v, fw, mark, cnt, rep, local)
+					}
 				}
-				ix.countVertex(int32(v), fw, mark, cnt, rep, local)
 			}
 			locals[t] = local
 		}
@@ -141,53 +159,57 @@ func (ix *Index) PrimaryBCtx(ctx context.Context, threads int) ([]metrics.Primar
 	return vals, nil
 }
 
-// forward is one query's forward adjacency under ≺: N+(v) is deep(v)
-// followed by adj[off[v]:off[v+1]]. With a layout, deep(v) is the
-// layout's deeper segment and adj holds only the same-shell part; without
-// one, deep(v) is empty and adj holds all of N+(v).
+// forward is the forward adjacency under ≺ as one CSR: N+(v) is
+// adj[off[v]:off[v+1]].
 type forward struct {
-	lay *shellidx.Layout // nil: adj carries the whole forward list
-	off []int64          // len n+1
-	adj []int32
+	off []int64 // len n+1
+	adj []int32 // len m: every edge is forward from exactly one end
 }
 
-// lists returns N+(v) as its two parts.
-func (f *forward) lists(v int32) (deep, rest []int32) {
-	if f.lay != nil {
-		deep = f.lay.Deeper(v)
+// list returns N+(v).
+func (f *forward) list(v int32) []int32 { return f.adj[f.off[v]:f.off[v+1]] }
+
+// forwardLists returns the index's forward lists, building them at p
+// threads on the first call. The lists are a pure function of (g, core)
+// and the layout's presence, so they are built once per Index and shared
+// by every later Type-B query. A build that fails or sees a cancelled ctx
+// publishes nothing, so the next call tries again. Two racing first calls
+// may both build; the first to publish wins and the other's copy is
+// dropped, and neither waits on a lock it could not cancel.
+func (ix *Index) forwardLists(ctx context.Context, p int) (*forward, error) {
+	if f := ix.fw.Load(); f != nil {
+		return f, nil
 	}
-	return deep, f.adj[f.off[v]:f.off[v+1]]
+	f := new(forward)
+	err := ix.forwardCtx(ctx, f, p)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	ix.fw.CompareAndSwap(nil, f)
+	return ix.fw.Load(), nil
 }
 
-// marked counts the members w of N+(u) with mark[w] == tag.
-func (f *forward) marked(u int32, mark []int32, tag int32) int64 {
-	deep, rest := f.lists(u)
-	var c int64
-	for _, w := range deep {
-		if mark[w] == tag {
-			c++
-		}
-	}
-	for _, w := range rest {
-		if mark[w] == tag {
-			c++
-		}
-	}
-	return c
-}
-
-// above writes the members u of v's forward candidates with v ≺ u, in the
+// above writes v's forward list N+(v) = {u ∈ N(v) : v ≺ u}, in the
 // triangle order ≺ = (coreness, degree, id), to dst (nil only counts) and
-// returns how many there are. The candidates are the same-shell segment
-// with a layout (the deeper one is forward as a whole, and no coreness
-// needs reading), else the whole adjacency list.
+// returns its length. With a layout the deeper segment is forward as a
+// whole and is copied in first; only the same-shell segment is filtered,
+// and no coreness needs reading. Without one the whole adjacency list is
+// filtered.
 func (ix *Index) above(v int32, dst []int32) int64 {
 	nb, mixed := ix.g.Neighbors(v), ix.lay == nil
+	var c int64
 	if !mixed {
+		deep := ix.lay.Deeper(v)
+		if dst != nil {
+			copy(dst, deep)
+		}
+		c = int64(len(deep))
 		nb = ix.lay.Same(v)
 	}
 	cv, dv := ix.core[v], ix.g.Degree(v)
-	var c int64
 	for _, u := range nb {
 		if mixed && ix.core[u] != cv {
 			if ix.core[u] < cv {
@@ -204,18 +226,21 @@ func (ix *Index) above(v int32, dst []int32) int64 {
 	return c
 }
 
-// forwardCtx builds the query's forward lists in one count, prefix-sum
-// and fill pass over the thread ranges of bounds: each range counts its
-// vertices' entries into off, a serial pass turns the p range totals into
-// start offsets, and each range fills its slice of adj, skipping empty
-// lists, while turning its counts into offsets. The output is a pure
-// function of the graph, so it is the same for every thread count.
-func (ix *Index) forwardCtx(ctx context.Context, bounds []int) (*forward, error) {
+// forwardCtx fills f with the forward lists in one count, prefix-sum and
+// fill pass over p vertex ranges of equal adjacency volume: each range
+// counts its vertices' entries into off, a serial pass turns the p range
+// totals into start offsets, and each range fills its slice of adj,
+// skipping empty lists, while turning its counts into offsets. The output
+// is a pure function of the graph, so it is the same for every thread
+// count. On error f is incomplete and must be dropped.
+func (ix *Index) forwardCtx(ctx context.Context, f *forward, p int) error {
+	defer obs.StartSpanCtx(ctx, "search.forward").End()
 	n := ix.g.NumVertices()
-	p := len(bounds) - 1
-	f := &forward{lay: ix.lay, off: make([]int64, n+1)}
+	bounds := ix.edgeBalancedBounds(p)
+	f.off = make([]int64, n+1)
 	starts := make([]int64, p)
 	err := par.ForErr(ctx, p, p, func(tlo, thi int) error {
+		faultinject.Maybe("search.forward")
 		for t := tlo; t < thi; t++ {
 			var c int64
 			for v := int32(bounds[t]); v < int32(bounds[t+1]); v++ {
@@ -228,7 +253,7 @@ func (ix *Index) forwardCtx(ctx context.Context, bounds []int) (*forward, error)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var total int64
 	for t, c := range starts {
@@ -236,7 +261,7 @@ func (ix *Index) forwardCtx(ctx context.Context, bounds []int) (*forward, error)
 		total += c
 	}
 	f.adj = make([]int32, total)
-	err = par.ForErr(ctx, p, p, func(tlo, thi int) error {
+	return par.ForErr(ctx, p, p, func(tlo, thi int) error {
 		for t := tlo; t < thi; t++ {
 			pos := starts[t]
 			for v := int32(bounds[t]); v < int32(bounds[t+1]); v++ {
@@ -249,34 +274,27 @@ func (ix *Index) forwardCtx(ctx context.Context, bounds []int) (*forward, error)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // countVertex adds vertex v's triangle and triplet contributions to vals,
-// a table private to the calling thread (plain writes).
+// a table private to the calling worker (plain writes).
 func (ix *Index) countVertex(v int32, fw *forward, mark, cnt, rep []int32, vals []int64) {
 	g, core, h := ix.g, ix.core, ix.h
 
 	// --- Triangles (Algorithm 5 lines 2-7) ---
 	// Only those whose ≺-lowest vertex is v are found here.
-	deep, rest := fw.lists(v)
-	if len(deep)+len(rest) >= 2 {
+	if nv := fw.list(v); len(nv) >= 2 {
 		tag := v + 1
-		for _, u := range deep {
-			mark[u] = tag
-		}
-		for _, u := range rest {
+		for _, u := range nv {
 			mark[u] = tag
 		}
 		var tri int64
-		for _, u := range deep {
-			tri += fw.marked(u, mark, tag)
-		}
-		for _, u := range rest {
-			tri += fw.marked(u, mark, tag)
+		for _, u := range nv {
+			for _, w := range fw.list(u) {
+				if mark[w] == tag {
+					tri++
+				}
+			}
 		}
 		vals[int(h.TID[v])*2] += tri
 	}
