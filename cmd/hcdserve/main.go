@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	in := fs.String("in", "", "input graph path (required)")
 	format := fs.String("format", "bin", "input format: bin (WriteBinaryFile) or text (edge list)")
 	threads := fs.Int("threads", 0, "build/query worker count (0 = GOMAXPROCS)")
-	kernel := fs.String("kernel", "", "peeling kernel: levelsync, buffered, hindex (default journal-selected)")
+	kernel := fs.String("kernel", "", "peeling kernel: levelsync | buffered (default buffered)")
 	verify := fs.Bool("verify", false, "self-verify every rebuilt hierarchy before publishing it")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing queries (0 = 2×GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "admission wait-queue bound (0 = 4×max-inflight)")

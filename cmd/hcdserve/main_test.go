@@ -125,6 +125,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{}, // -in missing
 		{"-in", path, "-format", "xml"},
 		{"-in", path, "-kernel", "warp-drive"},
+		{"-in", path, "-kernel", "hindex"},
 		{"-in", path, "positional"},
 		{"-in", path, "-faults", "not-a-spec"},
 	}

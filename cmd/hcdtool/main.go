@@ -18,11 +18,10 @@
 //
 // Input formats: "bin" (gengraph/WriteBinary) or "text" (SNAP edge list).
 //
-// -kernel selects the core-decomposition peeling kernel (levelsync,
-// buffered, or hindex); unset, the journal-selected default is used.
-// All kernels produce identical coreness arrays — the switch exists for
-// performance comparison (benchtab -exp phcd records the journal that
-// picks the default).
+// -kernel selects the core-decomposition peeling kernel: levelsync |
+// buffered (default buffered). Both produce identical coreness arrays —
+// the switch exists for performance comparison (EXPERIMENTS.md, "Peel
+// kernels on the perfbench graphs").
 //
 // Builds are interruptible: Ctrl-C (or SIGTERM) cancels the pipeline and
 // the tool exits 130. -deadline bounds a build, -verify validates the
@@ -72,12 +71,12 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	flag := flag.NewFlagSet("hcdtool", flag.ContinueOnError)
 	flag.SetOutput(stderr)
-	cmd := flag.String("cmd", "stats", "stats | decompose | build | search | densest | clique | bestk | kcore | truss | influence")
+	cmd := flag.String("cmd", "stats", "stats | decompose | build | search | densest | clique | bestk | kcore | truss | influence | maintain")
 	in := flag.String("in", "", "input graph path (required)")
 	format := flag.String("format", "bin", "input format: bin or text")
 	metric := flag.String("metric", "average-degree", "metric for search/bestk")
 	threads := flag.Int("threads", 0, "threads (0 = GOMAXPROCS)")
-	kernel := flag.String("kernel", "", "peeling kernel: levelsync | buffered | hindex (default: journal-selected)")
+	kernel := flag.String("kernel", "", "peeling kernel: levelsync | buffered (default buffered)")
 	dot := flag.String("dot", "", "write the hierarchy in DOT format to this path (build)")
 	svg := flag.String("svg", "", "write the hierarchy as an SVG icicle diagram to this path (build)")
 	index := flag.String("index", "", "write the binary HCD index to this path (build)")

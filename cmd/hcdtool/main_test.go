@@ -153,6 +153,9 @@ func TestRunErrors(t *testing.T) {
 	if _, _, code := runTool(t, "-bad-flag"); code != 2 {
 		t.Error("bad flag not rejected")
 	}
+	if _, errOut, code := runTool(t, "-cmd", "stats", "-in", path, "-kernel", "hindex"); code != 2 || !strings.Contains(errOut, "unknown peeling kernel") {
+		t.Error("-kernel hindex not rejected")
+	}
 }
 
 // TestRunBestKRejectsTypeB checks that bestk reports a Type B metric as a
@@ -344,8 +347,8 @@ func TestRunTraceExport(t *testing.T) {
 	if build == nil {
 		t.Fatalf("no root build span in trace: %v", seen)
 	}
-	// coredecomp.buffered is the journal-selected default peeling
-	// kernel's root span (hcd.DefaultPeelKernel).
+	// coredecomp.buffered is the default peeling kernel's root span
+	// (hcd.DefaultPeelKernel).
 	for _, want := range []string{"peel", "phcd", "coredecomp.buffered"} {
 		if !seen[want] {
 			t.Errorf("trace missing span %q (have %v)", want, seen)

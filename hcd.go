@@ -41,10 +41,10 @@ import (
 )
 
 // PeelKernel selects one of the pluggable core-decomposition peeling
-// kernels. The zero value selects the journal-chosen default
-// (DefaultPeelKernel); the losing kernels stay selectable so new
-// hardware can re-run the selection experiment (see EXPERIMENTS.md
-// "Peeling kernels").
+// kernels. The zero value selects the default (DefaultPeelKernel); the
+// other kernel stays selectable so new hardware can re-run the
+// selection experiment (see EXPERIMENTS.md "Peel kernels on the
+// perfbench graphs").
 type PeelKernel = coredecomp.Kernel
 
 const (
@@ -54,11 +54,9 @@ const (
 	// PeelBuffered stages cascaded frontier vertices in per-worker
 	// buffers published by one fetch-and-add reservation per flush.
 	PeelBuffered PeelKernel = coredecomp.KernelBuffered
-	// PeelHIndex iterates local h-index updates over a worklist to
-	// fixpoint, with no level barriers.
-	PeelHIndex PeelKernel = coredecomp.KernelHIndex
 	// DefaultPeelKernel is the kernel an unset Options.Kernel resolves
-	// to, selected by the perf journal (BENCH_phcd.json).
+	// to, selected by the peel timings in EXPERIMENTS.md ("Peel kernels
+	// on the perfbench graphs").
 	DefaultPeelKernel = coredecomp.DefaultKernel
 )
 
@@ -135,8 +133,8 @@ func ReadEdgeListFile(path string) (*Graph, error) { return graph.ReadEdgeListFi
 func ReadBinaryFile(path string) (*Graph, error) { return graph.ReadBinaryFile(path) }
 
 // CoreDecomposition computes every vertex's coreness with the selected
-// parallel peeling kernel (Options.Kernel; the default is the
-// journal-chosen DefaultPeelKernel).
+// parallel peeling kernel (Options.Kernel; the default is
+// DefaultPeelKernel).
 func CoreDecomposition(g *Graph, opt Options) []int32 {
 	return coredecomp.Peel(g, opt.Threads, opt.Kernel)
 }

@@ -38,23 +38,15 @@ type Config struct {
 	// Threads is the thread count for the "(P)" parallel columns.
 	// 0 = GOMAXPROCS.
 	Threads int
-	// Sweep is the thread-count sweep used by the figures and the journal
-	// experiments (phcd, search); defaults to {1, 2, 4, ..., GOMAXPROCS}
-	// when nil.
+	// Sweep is the thread-count sweep used by the figures; defaults to
+	// {1, 2, 4, ..., GOMAXPROCS} when nil.
 	Sweep []int
 	// Reps is the number of timing repetitions; the minimum is reported.
 	Reps int
 	// Datasets filters the suite by abbreviation; nil = all ten.
 	Datasets []string
-	// Kernels filters the phcd experiment's peeling-kernel sweep by
-	// kernel name (levelsync, buffered, hindex); nil = all kernels.
-	Kernels []string
 	// Out receives the formatted rows (required).
 	Out io.Writer
-	// JSONPath, when non-empty, makes experiments that support it (phcd,
-	// search, serve) also write a machine-readable experiment journal to
-	// this file.
-	JSONPath string
 }
 
 func (c Config) withDefaults() Config {
@@ -76,20 +68,6 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
-}
-
-// wantKernel reports whether the kernel filter admits name (an empty
-// filter admits everything).
-func (c Config) wantKernel(name string) bool {
-	if len(c.Kernels) == 0 {
-		return true
-	}
-	for _, k := range c.Kernels {
-		if k == name {
-			return true
-		}
-	}
-	return false
 }
 
 func (c Config) suite() []gen.Dataset {
@@ -132,35 +110,6 @@ func ratio(base, x time.Duration) float64 {
 }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }
-
-// humanBytes renders a byte count with a binary-prefix unit, matching
-// how an operator reads heap sizes.
-func humanBytes(v int64) string {
-	switch {
-	case v >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(v)/(1<<30))
-	case v >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", float64(v)/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.2fKiB", float64(v)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", v)
-	}
-}
-
-// fmtSample renders one cell sample in its unit: seconds for timing
-// cells (the historical default), sizes for UnitBytes, plain counts for
-// UnitAllocs.
-func fmtSample(v int64, unit string) string {
-	switch unit {
-	case UnitBytes:
-		return humanBytes(v)
-	case UnitAllocs:
-		return fmt.Sprintf("%d", v)
-	default:
-		return secs(time.Duration(v)) + "s"
-	}
-}
 
 // Table2 prints the dataset statistics table (paper Table II): n, m,
 // average degree, kmax, and the number of HCD tree nodes.
@@ -439,17 +388,8 @@ func Ablation(cfg Config) {
 }
 
 // Run dispatches an experiment by name: "table2".."table5", "fig4".."fig10",
-// "ablation", "maintenance", or the journal experiments "phcd", "search"
-// and "serve".
+// "ablation" or "maintenance".
 func Run(name string, cfg Config) error {
-	switch name {
-	case "phcd":
-		return PHCDBench(cfg)
-	case "search":
-		return SearchBench(cfg)
-	case "serve":
-		return ServeBench(cfg)
-	}
 	fns := map[string]func(Config){
 		"table2": Table2, "table3": Table3, "table4": Table4, "table5": Table5,
 		"fig4": Fig4, "fig5": Fig5, "fig6": Fig6, "fig7": Fig7, "fig8": Fig8,
@@ -468,7 +408,7 @@ func Run(name string, cfg Config) error {
 func Names() []string {
 	return []string{"table2", "table3", "table4", "table5",
 		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation",
-		"maintenance", "phcd", "search", "serve"}
+		"maintenance"}
 }
 
 // Maintenance prints the dynamic-maintenance ablation: per dataset, the

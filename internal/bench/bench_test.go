@@ -22,18 +22,7 @@ func TestRunAllExperimentsProduceOutput(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out := buf.String()
-		if name == "phcd" || name == "search" {
-			// The journal experiments run their own (larger) suite,
-			// substituted by rmat12/onion12 at scale 1.
-			if !strings.Contains(out, "rmat12") || !strings.Contains(out, "onion12") {
-				t.Errorf("%s: output missing dataset rows:\n%s", name, out)
-			}
-		} else if name == "serve" {
-			// The serve latency journal serves the first sweep graph only.
-			if !strings.Contains(out, "rmat12") || !strings.Contains(out, "serve.search.p99") {
-				t.Errorf("%s: output missing latency rows:\n%s", name, out)
-			}
-		} else if !strings.Contains(out, "AS") || !strings.Contains(out, "H") {
+		if !strings.Contains(out, "AS") || !strings.Contains(out, "H") {
 			t.Errorf("%s: output missing dataset rows:\n%s", name, out)
 		}
 		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {

@@ -9,6 +9,7 @@ import (
 	"hcd/internal/gen"
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
+	"hcd/internal/lcps"
 	"hcd/internal/shellidx"
 )
 
@@ -118,29 +119,6 @@ func TestPHCDDeterministicAcrossThreadsAndLayout(t *testing.T) {
 	}
 }
 
-// PHCDBaseline is frozen for benchmarking, but it must keep producing the
-// same hierarchy (up to node renaming) as the rewrite.
-func TestPHCDBaselineIsomorphic(t *testing.T) {
-	cases := []*graph.Graph{
-		gen.ErdosRenyi(250, 1000, 15),
-		gen.BarabasiAlbert(200, 4, 16),
-		gen.Onion(5, 12, 2, 2, 3, 17),
-	}
-	for i, g := range cases {
-		core := coredecomp.Serial(g)
-		want := PHCD(g, core, 0)
-		for _, threads := range []int{1, 3, 6} {
-			got := PHCDBaseline(g, core, threads)
-			if err := hierarchy.Validate(got, g, core); err != nil {
-				t.Fatalf("case %d threads=%d: baseline Validate: %v", i, threads, err)
-			}
-			if !hierarchy.Equal(got, want) {
-				t.Fatalf("case %d threads=%d: baseline and rewrite disagree", i, threads)
-			}
-		}
-	}
-}
-
 func TestPHCDSuiteWithLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -155,8 +133,8 @@ func TestPHCDSuiteWithLayout(t *testing.T) {
 			t.Errorf("%s: %v", d.Abbrev, err)
 			continue
 		}
-		if !hierarchy.Equal(h, PHCDBaseline(g, core, 0)) {
-			t.Errorf("%s: layout PHCD and baseline disagree", d.Abbrev)
+		if !hierarchy.Equal(h, lcps.Build(g, core)) {
+			t.Errorf("%s: layout PHCD and LCPS disagree", d.Abbrev)
 		}
 	}
 }
@@ -169,15 +147,6 @@ func BenchmarkPHCDWithLayout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PHCDWithLayout(g, core, lay, 0)
-	}
-}
-
-func BenchmarkPHCDBaseline(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 8, 1)
-	core := coredecomp.Serial(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PHCDBaseline(g, core, 0)
 	}
 }
 

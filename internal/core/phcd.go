@@ -33,8 +33,6 @@
 // the lower-bound cost of any union-find-based construction (one union per
 // edge, nothing else), and DivideConquer, the partition-merge alternative
 // of §III-E whose RC-based merge the paper shows to be uncompetitive.
-// PHCDBaseline (baseline.go) freezes the pre-layout implementation for
-// regression benchmarking.
 package core
 
 import (

@@ -1,7 +1,7 @@
 // Package coredecomp computes k-core decompositions: the coreness c(v) of
 // every vertex (the largest k such that v belongs to a k-core).
 //
-// A serial baseline and three parallel kernels are provided:
+// A serial baseline and two parallel kernels are provided:
 //
 //   - Serial: the Batagelj–Zaversnik bin-sort peeling algorithm [19],
 //     O(m) time, used as the input stage of the serial LCPS pipeline.
@@ -12,8 +12,6 @@
 //   - KernelBuffered (BufferedCtx): the level structure above, with
 //     cascaded adoptions staged in per-worker buffers and published by
 //     one fetch-and-add reservation per flush (MaxTruss Scan/SubLevel).
-//   - KernelHIndex (HIndexCtx): barrier-free asynchronous local h-index
-//     iteration to fixpoint (Sariyüce–Seshadhri–Pinar).
 //
 // Kernel selection goes through PeelCtx / Peel; every kernel returns
 // core arrays byte-identical to Serial's for every thread count. See

@@ -13,7 +13,7 @@ import (
 
 // Kernel names one of the pluggable peeling kernels. The zero value
 // selects DefaultKernel, so callers that never set a kernel keep the
-// journal-chosen production path.
+// production path.
 type Kernel string
 
 const (
@@ -26,25 +26,21 @@ const (
 	// publish each buffer with a single fetch-and-add reservation into a
 	// shared next-frontier array.
 	KernelBuffered Kernel = "buffered"
-	// KernelHIndex is the asynchronous local h-index kernel (HIndexCtx):
-	// worklist-driven h-index iteration to fixpoint, no level barriers.
-	KernelHIndex Kernel = "hindex"
 )
 
 // DefaultKernel is the kernel used when callers leave the choice empty.
-// It is selected by the experiment journal (BENCH_phcd.json, see
-// EXPERIMENTS.md "Peeling-kernel selection"): the buffered kernel
-// replaces the level-synchronous CAS loop with one fetch-and-add per
-// decrement, scales its worker fan-out to the frontier and the
-// hardware, and runs single-worker sub-rounds lock-free — faster than
-// levelsync in every recorded cell, beyond the noise band on two of
-// the three scale-4 datasets at p=8. The losers stay selectable for
-// re-measurement on new hardware.
+// The buffered kernel replaces the level-synchronous CAS loop with one
+// fetch-and-add per decrement, scales its worker fan-out to the
+// frontier and the hardware, and runs single-worker sub-rounds
+// lock-free. On the perfbench graphs it is the fastest peel at one
+// thread, and at two threads on rmat17; levelsync stays selectable
+// because it is faster on onion17 at two threads (EXPERIMENTS.md, "Peel
+// kernels on the perfbench graphs").
 const DefaultKernel = KernelBuffered
 
 // Kernels lists every selectable peeling kernel, in presentation order.
 func Kernels() []Kernel {
-	return []Kernel{KernelLevelSync, KernelBuffered, KernelHIndex}
+	return []Kernel{KernelLevelSync, KernelBuffered}
 }
 
 // ParseKernel resolves a kernel name from flag/config input. The empty
@@ -54,7 +50,7 @@ func ParseKernel(s string) (Kernel, error) {
 	switch k {
 	case "":
 		return DefaultKernel, nil
-	case KernelLevelSync, KernelBuffered, KernelHIndex:
+	case KernelLevelSync, KernelBuffered:
 		return k, nil
 	}
 	return "", fmt.Errorf("coredecomp: unknown peeling kernel %q (have %v)", s, Kernels())
@@ -75,8 +71,6 @@ func PeelCtx(ctx context.Context, g *graph.Graph, threads int, kernel Kernel) ([
 		return ParallelCtx(ctx, g, threads)
 	case KernelBuffered:
 		return BufferedCtx(ctx, g, threads)
-	case KernelHIndex:
-		return HIndexCtx(ctx, g, threads)
 	}
 	return nil, fmt.Errorf("coredecomp: unknown peeling kernel %q (have %v)", kernel, Kernels())
 }
@@ -136,11 +130,10 @@ func peelWorkers(p int, work int64) int {
 // paths onto small graphs (e.g. under -race).
 var peelFanoutGrain = int64(4096)
 
-// peelStats is the per-kernel frontier telemetry of satellite interest
-// to the journal: how many rounds a kernel ran and how large its
-// frontiers were explains *why* it wins or loses on a dataset shape
-// (many tiny levels favour buffered's adaptive fan-out; heavy worklist
-// churn penalises hindex).
+// peelStats is the per-kernel frontier telemetry: how many rounds a
+// kernel ran and how large its frontiers were explains *why* it wins or
+// loses on a dataset shape (many tiny levels favour buffered's adaptive
+// fan-out).
 type peelStats struct {
 	rounds   *obs.Counter
 	frontier *obs.Histogram
@@ -160,5 +153,4 @@ func newPeelStats(kernel Kernel) peelStats {
 var (
 	levelsyncStats = newPeelStats(KernelLevelSync)
 	bufferedStats  = newPeelStats(KernelBuffered)
-	hindexStats    = newPeelStats(KernelHIndex)
 )

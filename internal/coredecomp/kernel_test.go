@@ -24,6 +24,9 @@ func TestParseKernel(t *testing.T) {
 	if k, err := ParseKernel(""); err != nil || k != DefaultKernel {
 		t.Errorf(`ParseKernel("") = (%q, %v), want the default`, k, err)
 	}
+	if want := []Kernel{KernelLevelSync, KernelBuffered}; !reflect.DeepEqual(Kernels(), want) {
+		t.Errorf("Kernels() = %v, want %v", Kernels(), want)
+	}
 	for _, k := range Kernels() {
 		got, err := ParseKernel(string(k))
 		if err != nil || got != k {
@@ -40,8 +43,8 @@ func TestParseKernel(t *testing.T) {
 
 // TestKernelsMatchSerialOrder checks the selection contract on a fixed
 // graph zoo: every kernel × every thread count produces a core array
-// byte-identical to SerialOrder's. One subtest per kernel so the CI
-// kernel matrix can select a single kernel with -run.
+// byte-identical to SerialOrder's. One subtest per kernel, so a single
+// kernel can be selected with -run.
 func TestKernelsMatchSerialOrder(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.ErdosRenyi(500, 2500, 1),
@@ -139,9 +142,8 @@ func TestKernelsMatchSerialOrderProperty(t *testing.T) {
 }
 
 // TestKernelsMatchSerialOrderScale4 runs the equivalence contract on
-// the scale-4 journal generators — the same graphs the kernel-selection
-// experiment times — so the promoted default is proven correct on the
-// inputs it was promoted on. Skipped under -short (the race CI leg runs
+// the scale-4 generators the kernel-selection experiment timed, so the
+// promoted default is proven correct on the inputs it was promoted on. Skipped under -short (the race CI leg runs
 // the small-graph tests above instead).
 func TestKernelsMatchSerialOrderScale4(t *testing.T) {
 	if testing.Short() {
@@ -173,7 +175,6 @@ func TestKernelsMatchSerialOrderScale4(t *testing.T) {
 var kernelSites = map[Kernel][]string{
 	KernelLevelSync: {"coredecomp.collect", "coredecomp.peel"},
 	KernelBuffered:  {"coredecomp.buffered.collect", "coredecomp.buffered.peel"},
-	KernelHIndex:    {"coredecomp.hindex.init", "coredecomp.hindex.step"},
 }
 
 // TestPeelCtxContainsInjectedPanics injects a panic into every site of
@@ -288,7 +289,6 @@ func TestRepanicPreservesCauseChain(t *testing.T) {
 	}{
 		{"coredecomp.peel", func() { Parallel(g, 4) }},
 		{"coredecomp.buffered.peel", func() { Peel(g, 4, KernelBuffered) }},
-		{"coredecomp.hindex.step", func() { Peel(g, 4, KernelHIndex) }},
 	}
 	for _, tc := range cases {
 		if err := faultinject.Enable(tc.site + ":panic:1"); err != nil {
@@ -320,13 +320,5 @@ func BenchmarkBufferedCoreDecomp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Peel(g, 0, KernelBuffered)
-	}
-}
-
-func BenchmarkHIndexCoreDecomp(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 8, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Peel(g, 0, KernelHIndex)
 	}
 }

@@ -1,8 +1,8 @@
 // hot-loop-alloc: the loop bodies handed to par.For*/For*Err are the
 // kernels' inner loops — executed once per chunk, iterating millions of
 // elements. An allocation inside one turns a memory-bandwidth-bound
-// kernel into a GC-bound one, and the journal's scaling numbers quietly
-// decay. Inside kernel packages (the determinism package list) this
+// kernel into a GC-bound one, and the measured scaling quietly
+// decays. Inside kernel packages (the determinism package list) this
 // check flags the allocation-forcing constructs at their source:
 //
 //	closure        a func literal nested in the hot body allocates per

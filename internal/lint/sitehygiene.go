@@ -103,7 +103,7 @@ func siteHygieneCheck() *Check {
 								diags = append(diags, checkGrammar(ctx, "phase", lit, phaseNameRe, call.Args[0].Pos())...)
 							} else {
 								diags = append(diags, ctx.diag("site-hygiene", call.Args[0].Pos(),
-									"obs.NewPhaseStat phase name must be a string literal so journal rows stay greppable"))
+									"obs.NewPhaseStat phase name must be a string literal so phase reports stay greppable"))
 							}
 						case "NewCounter", "NewGauge", "NewHistogram":
 							name, pos, ok := metricBase(pkg, call.Args[0])

@@ -61,12 +61,9 @@ func TestMemPointSubClampsReversedOrder(t *testing.T) {
 	}
 }
 
-// TestHeapReadingsArePositive sanity-checks the runtime/metrics reads a
-// live process can never legitimately report as zero.
+// TestHeapReadingsArePositive sanity-checks the runtime/metrics read
+// behind HeapLiveBytes.
 func TestHeapReadingsArePositive(t *testing.T) {
-	if v := obs.HeapObjectsBytes(); v <= 0 {
-		t.Errorf("HeapObjectsBytes = %d, want > 0", v)
-	}
 	// Heap-live only moves at GC boundaries; a fresh test process may not
 	// have completed one, so only its sign is checked.
 	if v := obs.HeapLiveBytes(); v < 0 {

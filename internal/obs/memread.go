@@ -48,8 +48,7 @@ var memPauseWalk struct {
 
 // memMetricNames are the runtime/metrics keys one SampleMem reads. The
 // heap-live reading only moves at GC boundaries (it is the previous
-// mark's live set); the objects reading moves with every allocation and
-// is what the bench harness polls for peak-heap cells.
+// mark's live set); the objects reading moves with every allocation.
 const (
 	metricHeapLive    = "/gc/heap/live:bytes"
 	metricHeapObjects = "/memory/classes/heap/objects:bytes"
@@ -85,12 +84,6 @@ func readUint64Metric(name string) int64 {
 // — the stable "what does the resident data cost" number, updated at GC
 // boundaries only.
 func HeapLiveBytes() int64 { return readUint64Metric(metricHeapLive) }
-
-// HeapObjectsBytes reports the bytes currently occupied by heap objects,
-// garbage included until the next sweep — the instantaneous reading the
-// bench harness polls to catch a measured operation's heap high-water
-// mark.
-func HeapObjectsBytes() int64 { return readUint64Metric(metricHeapObjects) }
 
 // peakStore folds v into a monotone high-water mark and mirrors the
 // result into its gauge.

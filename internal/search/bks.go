@@ -4,7 +4,6 @@ import (
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
 	"hcd/internal/metrics"
-	"hcd/internal/treeaccum"
 )
 
 // BKS is the serial subgraph-search baseline [10] the paper measures PBKS
@@ -139,7 +138,7 @@ func (b *BKS) primaryA() []metrics.PrimaryValues {
 			vals[row+2] += lt - gt
 		}
 	}
-	treeaccum.AccumulateSerial(b.h, vals, 3)
+	accumulate(b.h, vals, 3)
 	out := make([]metrics.PrimaryValues, nn)
 	for i := range out {
 		out[i] = metrics.PrimaryValues{N: vals[i*3], M: vals[i*3+1] / 2, B: vals[i*3+2]}
@@ -197,7 +196,7 @@ func (b *BKS) primaryB() []metrics.PrimaryValues {
 			}
 		}
 	}
-	treeaccum.AccumulateSerial(b.h, vals, 2)
+	accumulate(b.h, vals, 2)
 	a := b.primaryA()
 	out := make([]metrics.PrimaryValues, nn)
 	for i := range out {
@@ -206,4 +205,27 @@ func (b *BKS) primaryB() []metrics.PrimaryValues {
 		out[i].Triplets = vals[i*2+1]
 	}
 	return out
+}
+
+// accumulate folds vals bottom-up over the forest (Algorithm 3's lines
+// 6-9): vals is a row-major matrix with one row of `width` int64 values
+// per tree node; on return, row i holds the sum of the original rows
+// over node i's entire subtree. It is one pass in child-before-parent
+// order.
+func accumulate(h *hierarchy.HCD, vals []int64, width int) {
+	if h.NumNodes() == 0 || width == 0 {
+		return
+	}
+	if len(vals) != h.NumNodes()*width {
+		panic("search: vals size does not match node count and width")
+	}
+	for _, id := range h.BottomUp() {
+		pa := h.Parent[id]
+		if pa == hierarchy.Nil {
+			continue
+		}
+		for f := 0; f < width; f++ {
+			vals[int(pa)*width+f] += vals[int(id)*width+f]
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	corepkg "hcd/internal/core"
 	"hcd/internal/coredecomp"
+	"hcd/internal/gen"
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
 	"hcd/internal/lcps"
@@ -85,4 +86,36 @@ func TestFoldOnAnyHierarchy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAccumulateSubtreeSums checks BKS's serial fold: with one row per
+// node holding the node's vertex count, every row must end up holding
+// the node's core size.
+func TestAccumulateSubtreeSums(t *testing.T) {
+	g := gen.Onion(5, 8, 2, 2, 2, 9)
+	h := hierarchy.BruteForce(g, coredecomp.Serial(g))
+	nn := h.NumNodes()
+	vals := make([]int64, nn)
+	for i := 0; i < nn; i++ {
+		vals[i] = int64(len(h.Vertices[i]))
+	}
+	accumulate(h, vals, 1)
+	for i := 0; i < nn; i++ {
+		if want := int64(h.CoreSize(hierarchy.NodeID(i))); vals[i] != want {
+			t.Errorf("node %d: accumulated %d, want core size %d", i, vals[i], want)
+		}
+	}
+}
+
+func TestAccumulateEmptyAndPanics(t *testing.T) {
+	accumulate(&hierarchy.HCD{}, nil, 3) // no-op, must not panic
+
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1}})
+	h := hierarchy.BruteForce(g, coredecomp.Serial(g))
+	defer func() {
+		if recover() == nil {
+			t.Error("size mismatch must panic")
+		}
+	}()
+	accumulate(h, make([]int64, 1), 2)
 }
